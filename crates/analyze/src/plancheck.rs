@@ -423,8 +423,9 @@ pub fn check_plan(plan: &Plan, d: &Permutation, faults: Option<&FaultSet>) -> Ve
             }
             Some(a.settings)
         }
-        Plan::Settings(settings) => {
-            if let SettingsVerdict::Misroutes { realized } = check_settings(settings, d) {
+        Plan::Settings(program) => {
+            let settings = program.to_settings();
+            if let SettingsVerdict::Misroutes { realized } = check_settings(&settings, d) {
                 findings.push(Finding::error(
                     Pillar::Domain,
                     "settings-misroute",
@@ -433,7 +434,7 @@ pub fn check_plan(plan: &Plan, d: &Permutation, faults: Option<&FaultSet>) -> Ve
                     format!("cached settings realize {realized}, not {d}"),
                 ));
             }
-            Some(settings.clone())
+            Some(settings)
         }
         Plan::TwoPass { first, second } => {
             if first.then(second) != *d {
@@ -493,6 +494,7 @@ mod tests {
     use super::*;
     use benes_core::faults::FaultKind;
     use benes_core::waksman;
+    use benes_core::word::MaskProgram;
     use benes_core::Benes;
 
     fn p(v: &[u32]) -> Permutation {
@@ -585,9 +587,11 @@ mod tests {
         assert!(!check_plan(&Plan::SelfRoute, &d, None).is_empty());
         assert!(check_plan(&Plan::OmegaBit, &d, None).is_empty());
         let good = waksman::setup(&d).unwrap();
-        assert!(check_plan(&Plan::Settings(good.clone()), &d, None).is_empty());
+        let settings_plan =
+            |s: &SwitchSettings| Plan::Settings(MaskProgram::from_settings(s));
+        assert!(check_plan(&settings_plan(&good), &d, None).is_empty());
         let bad = SwitchSettings::all_straight(2);
-        assert!(!check_plan(&Plan::Settings(bad), &d, None).is_empty());
+        assert!(!check_plan(&settings_plan(&bad), &d, None).is_empty());
         // Fault disagreement on an otherwise good plan is reported.
         let mut faults = FaultSet::new(2);
         let opposite = match good.get(0, 0) {
@@ -595,7 +599,7 @@ mod tests {
             SwitchState::Cross => FaultKind::StuckStraight,
         };
         faults.insert(0, 0, opposite).unwrap();
-        let findings = check_plan(&Plan::Settings(good), &d, Some(&faults));
+        let findings = check_plan(&settings_plan(&good), &d, Some(&faults));
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].lint, "fault-disagreement");
         // Sanity: the checker's notion of realization matches the net.

@@ -42,6 +42,15 @@ pub enum SymVar {
         /// 0 for `a`, 1 for `b`.
         which: u8,
     },
+    /// The bit a given column-mask program holds at flattened position
+    /// `flat` of stage `stage` (the commanded cross bit when that position
+    /// is a switch's upper input).
+    Mask {
+        /// Stage of the column.
+        stage: u8,
+        /// Flattened position within the column.
+        flat: u16,
+    },
 }
 
 const FILL: SymVar = SymVar::Data { flat: 0, bit: 0 };
@@ -349,7 +358,7 @@ mod tests {
         for bits in 0..8u8 {
             let assign = |var: SymVar| match var {
                 SymVar::Data { flat, .. } => (bits >> flat) & 1 == 1,
-                SymVar::Fault { .. } => false,
+                SymVar::Fault { .. } | SymVar::Mask { .. } => false,
             };
             let expect =
                 if bits & 1 == 1 { (bits >> 1) & 1 == 1 } else { (bits >> 2) & 1 == 1 };
@@ -387,7 +396,7 @@ mod tests {
         for bits in 0..64u8 {
             let assign = |var: SymVar| match var {
                 SymVar::Data { flat, .. } => (bits >> flat) & 1 == 1,
-                SymVar::Fault { .. } => false,
+                SymVar::Fault { .. } | SymVar::Mask { .. } => false,
             };
             assert_eq!(parity.eval(assign), bits.count_ones() % 2 == 1);
         }

@@ -6,9 +6,12 @@
 //! proves a fact about the *kernels themselves*: `core/word.rs`'s
 //! bit-sliced `route` computes, stage for stage, the same function as the
 //! scalar `propagate` walk in `core/network.rs`/`core/faults.rs`, for all
-//! orders `n ≤ 8`, both the plain and the omega-bit variants, with the
-//! full `((cw & !stuck) | stuck_cross) ^ dead` fault overlay kept
-//! symbolic per switch.
+//! orders `n ≤ 8` and all three column sources — tag-derived (plain
+//! self-route), omega-forced, and given (the replay of a column-mask
+//! program, against the scalar `route_with`/`realized_with_faults` of the
+//! program's `SwitchSettings`) — with the full
+//! `((cw & !stuck) | stuck_cross) ^ dead` fault overlay kept symbolic per
+//! switch.
 //!
 //! # Method: stage-cut combinational equivalence
 //!
@@ -18,16 +21,21 @@
 //! switch, then builds two independent formulas over those variables:
 //!
 //! * the **word side** transcribes `word::route`'s column step literally:
-//!   cross-mask read from plane `δ(s)` under `delta_mask`/word-parity
-//!   selection, symbolic fault overlay at flattened upper positions, and
+//!   cross-mask read from plane `δ(s)` (or from the given program's
+//!   column, one symbolic mask bit per flattened position) under
+//!   `delta_mask`/word-parity selection, symbolic fault overlay at
+//!   flattened upper positions, and
 //!   the `t = (x ^ (x >> d)) & m; x ^ t ^ (t << d)` delta-swap shape
 //!   (= `benes_bits::delta_swap_spec`, pinned to the shipped primitive by
 //!   `benes-bits`' own tests) or the cross-word pair XOR-swap for
 //!   `δ(s) ≥ 6`;
 //! * the **scalar side** transcribes `propagate`: per switch, commanded
 //!   state from the upper tag's control bit (forced straight in the omega
-//!   prefix), `FaultKind::effective` as a mux tree over the same fault
-//!   bits, then a conditional exchange of the paired tags.
+//!   prefix), or — for a given program — the mask bit that
+//!   `MaskProgram::to_settings` reads for that switch through the shipped
+//!   position table `topology::flat_upper`, then `FaultKind::effective` as
+//!   a mux tree over the same fault bits, then a conditional exchange of
+//!   the paired tags.
 //!
 //! The two sides are compared bit-for-bit at the stage output through the
 //! physical→flattened correspondence `p2f`, whose structure (stage `s`
@@ -42,10 +50,12 @@
 //! # What is and is not covered
 //!
 //! Covered: every tag assignment (a superset of permutations — the planes
-//! are unconstrained), every fault configuration of every switch
-//! (healthy, stuck-straight, stuck-cross, dead — the two symbolic fault
-//! bits enumerate exactly these four), both kernels' forced-straight
-//! omega prefix, and the fault-even-in-forced-stages behaviour. The
+//! are unconstrained), every column-mask program (every mask bit is a
+//! symbolic variable, including the bits at lower positions the kernel
+//! must ignore), every fault configuration of every switch (healthy,
+//! stuck-straight, stuck-cross, dead — the two symbolic fault bits
+//! enumerate exactly these four), the forced-straight omega prefix, and
+//! the fault-even-in-forced-stages behaviour. The
 //! kernel's healthy-stage fast paths (skipping the overlay or a whole
 //! forced column) are the all-healthy specialization of the proven
 //! general path, under which the overlay is the identity. Not covered
@@ -61,13 +71,39 @@ use benes_core::topology;
 use crate::report::{Finding, Pillar};
 use crate::sym::{Sym, SymVar};
 
+/// The column source of `word::route` a proof covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnSource {
+    /// Tag-derived columns: plain self-routing.
+    Tags,
+    /// Omega-forced columns: self-routing with the omega bit asserted.
+    Omega,
+    /// Given columns: replay of a column-mask program.
+    Given,
+}
+
+impl ColumnSource {
+    /// Every source, in proof order.
+    pub const ALL: [Self; 3] = [Self::Tags, Self::Omega, Self::Given];
+
+    /// The kernel name used in reports.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Tags => "self-route",
+            Self::Omega => "omega-bit",
+            Self::Given => "given-mask",
+        }
+    }
+}
+
 /// A successful certification of one kernel variant at one order.
 #[derive(Debug, Clone)]
 pub struct WordCertificate {
     /// Network order.
     pub n: u32,
-    /// `true` for the omega-bit kernel.
-    pub omega: bool,
+    /// The column source proven.
+    pub source: ColumnSource,
     /// Stages walked (`2n − 1`).
     pub stages: usize,
     /// Per-bit equivalence checks decided (each over all assignments of
@@ -80,22 +116,12 @@ pub struct WordCertificate {
 pub struct WordDivergence {
     /// Network order.
     pub n: u32,
-    /// `true` for the omega-bit kernel.
-    pub omega: bool,
+    /// The column source that diverged.
+    pub source: ColumnSource,
     /// Stage at which the formulas differ.
     pub stage: usize,
     /// What differs, with a distinguishing assignment when applicable.
     pub detail: String,
-}
-
-impl WordDivergence {
-    fn kernel(&self) -> &'static str {
-        if self.omega {
-            "omega"
-        } else {
-            "plain"
-        }
-    }
 }
 
 /// One symbolic bit plane: `words` symbolic 64-bit words.
@@ -157,12 +183,20 @@ fn sym_delta_swap(x: &[Sym], m: &[Sym], shift: usize) -> Vec<Sym> {
 }
 
 /// One symbolic stage of `word::route` over fresh cut variables:
-/// `planes[b][w][i]` of the stage output, faults symbolic.
-fn word_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<SymPlane> {
+/// `planes[b][w][i]` of the stage output, faults (and, for given columns,
+/// mask bits) symbolic.
+fn word_stage(n: u32, stage: usize, source: ColumnSource, p2f: &[usize]) -> Vec<SymPlane> {
     let size = 1usize << n;
     let words = word_count(size);
     let c = topology::control_bit(n, stage);
-    let forced = omega && stage < n as usize - 1;
+    let forced = source == ColumnSource::Omega && stage < n as usize - 1;
+    let mask_bit = |pos: usize| {
+        if pos < size {
+            Sym::var(SymVar::Mask { stage: stage as u8, flat: pos as u16 })
+        } else {
+            Sym::falsehood()
+        }
+    };
 
     let mut planes: Vec<SymPlane> = (0..n)
         .map(|b| {
@@ -183,22 +217,31 @@ fn word_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<SymPlane>
         })
         .collect();
 
-    // Commanded cross mask from plane δ(s), exactly as `route` reads it.
+    // Commanded cross mask from plane δ(s) or the given program's
+    // column, under the upper-position selection, exactly as `route`
+    // reads it.
+    let commanded: Option<SymPlane> = match source {
+        ColumnSource::Given => Some(
+            (0..words).map(|w| (0..64).map(|i| mask_bit((w << 6) | i)).collect()).collect(),
+        ),
+        _ if forced => None,
+        _ => Some(planes[c as usize].clone()),
+    };
     let mut cross: SymPlane = vec![vec![Sym::falsehood(); 64]; words];
-    if !forced {
+    if let Some(commanded) = commanded {
         if c < 6 {
             let m = benes_bits::delta_mask(c);
             for w in 0..words {
                 for i in 0..64 {
                     if (m >> i) & 1 == 1 {
-                        cross[w][i] = planes[c as usize][w][i];
+                        cross[w][i] = commanded[w][i];
                     }
                 }
             }
         } else {
             for w in 0..words {
                 if (w >> (c - 6)) & 1 == 0 {
-                    cross[w] = planes[c as usize][w].clone();
+                    cross[w] = commanded[w].clone();
                 }
             }
         }
@@ -243,16 +286,30 @@ fn word_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<SymPlane>
 /// only; the trailing link is pure renaming handled via `p2f`):
 /// `out[port][bit]` over the same cut variables, reading the tag at
 /// physical port `p` as the cut variables of flattened position
-/// `p2f[p]`.
-fn scalar_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<Vec<Sym>> {
+/// `p2f[p]`. For given columns switch `i` is commanded the mask bit
+/// `MaskProgram::to_settings` assigns it, read through the shipped
+/// position table.
+fn scalar_stage(
+    n: u32,
+    stage: usize,
+    source: ColumnSource,
+    p2f: &[usize],
+) -> Vec<Vec<Sym>> {
     let size = 1usize << n;
     let c = topology::control_bit(n, stage) as usize;
-    let forced = omega && stage < n as usize - 1;
+    let forced = source == ColumnSource::Omega && stage < n as usize - 1;
+    let table = &topology::flat_upper(n)[stage * size / 2..(stage + 1) * size / 2];
     let tag =
         |p: usize, b: usize| Sym::var(SymVar::Data { flat: p2f[p] as u16, bit: b as u8 });
     let mut out = vec![vec![Sym::falsehood(); n as usize]; size];
     for i in 0..size / 2 {
-        let commanded = if forced { Sym::falsehood() } else { tag(2 * i, c) };
+        let commanded = match source {
+            ColumnSource::Given => {
+                Sym::var(SymVar::Mask { stage: stage as u8, flat: table[i] as u16 })
+            }
+            _ if forced => Sym::falsehood(),
+            _ => tag(2 * i, c),
+        };
         let (a, b) = fault_bits(stage, i);
         let cross = scalar_effective(&commanded, &a, &b);
         for bit in 0..n as usize {
@@ -265,8 +322,9 @@ fn scalar_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<Vec<Sym
     out
 }
 
-/// Proves `word::route(n, ·, omega, ·) ≡` scalar `propagate` for one
-/// order and variant, or returns the first divergence with a witness.
+/// Proves `word::route(n, ·, source, ·) ≡` scalar `propagate` for one
+/// order and column source, or returns the first divergence with a
+/// witness.
 ///
 /// # Errors
 ///
@@ -276,7 +334,10 @@ fn scalar_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<Vec<Sym
 /// # Panics
 ///
 /// Panics if `n` is outside `1..=8` (the exhaustive-proof range).
-pub fn prove_word_kernel(n: u32, omega: bool) -> Result<WordCertificate, WordDivergence> {
+pub fn prove_word_kernel(
+    n: u32,
+    source: ColumnSource,
+) -> Result<WordCertificate, WordDivergence> {
     assert!((1..=8).contains(&n), "the symbolic proof range is n in 1..=8");
     let net = Benes::new(n);
     let size = 1usize << n;
@@ -293,7 +354,7 @@ pub fn prove_word_kernel(n: u32, omega: bool) -> Result<WordCertificate, WordDiv
             if u >> c & 1 != 0 || p2f[2 * i + 1] != u | (1 << c) {
                 return Err(WordDivergence {
                     n,
-                    omega,
+                    source,
                     stage: s,
                     detail: format!(
                         "flattening violated at switch {i}: ports map to {} / {}, expected bit-{c} pair",
@@ -304,8 +365,8 @@ pub fn prove_word_kernel(n: u32, omega: bool) -> Result<WordCertificate, WordDiv
             }
         }
 
-        let word_out = word_stage(n, s, omega, &p2f);
-        let scalar_out = scalar_stage(n, s, omega, &p2f);
+        let word_out = word_stage(n, s, source, &p2f);
+        let scalar_out = scalar_stage(n, s, source, &p2f);
         for p in 0..size {
             let flat = p2f[p];
             let (w, i) = (flat >> 6, flat & 63);
@@ -325,7 +386,7 @@ pub fn prove_word_kernel(n: u32, omega: bool) -> Result<WordCertificate, WordDiv
                         .unwrap_or_else(|| "supports differ".to_string());
                     return Err(WordDivergence {
                         n,
-                        omega,
+                        source,
                         stage: s,
                         detail: format!(
                             "port {p} (flattened {flat}) bit {b}: word computes {wf}, scalar computes {sf}; distinguishing assignment: {witness}"
@@ -344,29 +405,29 @@ pub fn prove_word_kernel(n: u32, omega: bool) -> Result<WordCertificate, WordDiv
     if p2f != (0..size).collect::<Vec<_>>() {
         return Err(WordDivergence {
             n,
-            omega,
+            source,
             stage: stages - 1,
             detail: "links do not compose to the identity".to_string(),
         });
     }
 
-    Ok(WordCertificate { n, omega, stages, checks })
+    Ok(WordCertificate { n, source, stages, checks })
 }
 
-/// Runs the full proof matrix (`n = 1..=max_n`, plain and omega),
+/// Runs the full proof matrix (`n = 1..=max_n`, every column source),
 /// returning findings for any divergence plus the certificates earned.
 #[must_use]
 pub fn prove_all(max_n: u32) -> (Vec<Finding>, Vec<WordCertificate>) {
     let mut findings = Vec::new();
     let mut certs = Vec::new();
     for n in 1..=max_n {
-        for omega in [false, true] {
-            match prove_word_kernel(n, omega) {
+        for source in ColumnSource::ALL {
+            match prove_word_kernel(n, source) {
                 Ok(cert) => certs.push(cert),
                 Err(div) => findings.push(Finding::error(
                     Pillar::Model,
                     "word-scalar-divergence",
-                    format!("B({n}) {} kernel stage {}", div.kernel(), div.stage),
+                    format!("B({n}) {} kernel stage {}", div.source.name(), div.stage),
                     0,
                     div.detail,
                 )),
@@ -383,9 +444,10 @@ mod tests {
     use benes_core::word;
     use benes_perm::Permutation;
 
-    /// The tentpole acceptance check: word ≡ scalar for every n ≤ 8,
-    /// both variants, all inputs, all fault configurations — decided by
-    /// abstract evaluation, no sampled inputs anywhere in the proof.
+    /// The acceptance check: word ≡ scalar for every n ≤ 8, every column
+    /// source, all inputs, all programs, all fault configurations —
+    /// decided by abstract evaluation, no sampled inputs anywhere in the
+    /// proof.
     #[test]
     fn word_kernels_equal_the_scalar_oracle_for_all_orders_up_to_8() {
         let (findings, certs) = prove_all(8);
@@ -394,10 +456,12 @@ mod tests {
             "kernel divergence: {}",
             findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
         );
-        assert_eq!(certs.len(), 16);
+        assert_eq!(certs.len(), 24);
         // B(8): 15 stages × 256 positions × 8 bits each way.
-        let b8 = certs.iter().find(|c| c.n == 8 && !c.omega).unwrap();
-        assert_eq!(b8.checks, 15 * 256 * 8);
+        for source in ColumnSource::ALL {
+            let b8 = certs.iter().find(|c| c.n == 8 && c.source == source).unwrap();
+            assert_eq!(b8.checks, 15 * 256 * 8, "{}", source.name());
+        }
     }
 
     /// The fault-encoding lemma in isolation: the word overlay formula
@@ -427,12 +491,23 @@ mod tests {
 
     /// Drift guard: step concrete inputs through the *symbolic* stage
     /// functions and compare end-to-end against the real kernel's public
-    /// API. Sampling is fine here — this test checks that the proof
-    /// object describes the shipped code, not that the kernels agree
-    /// (the proof itself settled that).
+    /// API and the scalar oracle. Sampling is fine here — this test
+    /// checks that the proof object describes the shipped code, not that
+    /// the kernels agree (the proof itself settled that).
     #[test]
     fn symbolic_transcription_replays_the_real_kernel() {
-        for (n, omega) in [(3u32, false), (3, true), (7, false), (8, true)] {
+        use benes_core::word::{Columns, FaultMasks, MaskProgram};
+        use benes_core::{SwitchSettings, SwitchState};
+
+        let cases = [
+            (3u32, ColumnSource::Tags),
+            (3, ColumnSource::Omega),
+            (3, ColumnSource::Given),
+            (7, ColumnSource::Tags),
+            (7, ColumnSource::Given),
+            (8, ColumnSource::Omega),
+        ];
+        for (n, source) in cases {
             let net = Benes::new(n);
             let size = 1usize << n;
             let d = lcg_perm(n, 0xd1f7 ^ u64::from(n));
@@ -440,6 +515,15 @@ mod tests {
             fs.insert(0, 0, FaultKind::Dead).unwrap();
             fs.insert(1, size / 4, FaultKind::StuckCross).unwrap();
             fs.insert(2 * n as usize - 2, size / 2 - 1, FaultKind::StuckStraight).unwrap();
+            // An arbitrary program for the given-columns case.
+            let mut settings = SwitchSettings::all_straight(n);
+            for s in 0..net.stage_count() {
+                for i in 0..net.switches_per_stage() {
+                    let bit = (i * 13 + s * 7 + i / 3) as u64 >> 2 & 1;
+                    settings.set(s, i, SwitchState::from_bit(bit));
+                }
+            }
+            let program = MaskProgram::from_settings(&settings);
 
             // Concrete planes in flattened coordinates, as `pack` lays
             // them out: bit b of the tag at position p.
@@ -448,7 +532,7 @@ mod tests {
             let mut p2f: Vec<usize> = (0..size).collect();
             let stages = 2 * n as usize - 1;
             for s in 0..stages {
-                let word_out = word_stage(n, s, omega, &p2f);
+                let word_out = word_stage(n, s, source, &p2f);
                 let assign = |v: SymVar| match v {
                     SymVar::Data { flat, bit } => (tags[flat as usize] >> bit) & 1 == 1,
                     SymVar::Fault { stage, switch, which } => {
@@ -464,6 +548,10 @@ mod tests {
                         } else {
                             b
                         }
+                    }
+                    SymVar::Mask { stage, flat } => {
+                        let column = program.stage(stage as usize);
+                        (column[flat as usize >> 6] >> (flat & 63)) & 1 == 1
                     }
                 };
                 let mut next = vec![0u32; size];
@@ -481,18 +569,26 @@ mod tests {
                 }
             }
 
-            let real = if omega {
-                word::self_route_omega_with_faults(&net, &d, &fs).unwrap()
-            } else {
-                word::self_route_with_faults(&net, &d, &fs).unwrap()
+            let columns = match source {
+                ColumnSource::Tags => Columns::Tags,
+                ColumnSource::Omega => Columns::Omega,
+                ColumnSource::Given => Columns::Given(&program),
             };
-            assert_eq!(tags, real.outputs(), "B({n}) omega={omega}");
-            let scalar = if omega {
-                faults::self_route_omega_with_faults(&net, &d, &fs)
-            } else {
-                faults::self_route_with_faults(&net, &d, &fs)
+            let real = word::route(n, &d, columns, Some(&FaultMasks::new(&fs))).unwrap();
+            assert_eq!(tags, real.outputs(), "B({n}) {}", source.name());
+            let scalar = match source {
+                ColumnSource::Tags => {
+                    faults::self_route_with_faults(&net, &d, &fs).outputs().to_vec()
+                }
+                ColumnSource::Omega => {
+                    faults::self_route_omega_with_faults(&net, &d, &fs).outputs().to_vec()
+                }
+                ColumnSource::Given => {
+                    faults::route_with_faults(&net, &program.to_settings(), &fs, dests)
+                        .unwrap()
+                }
             };
-            assert_eq!(tags, scalar.outputs(), "B({n}) omega={omega} scalar");
+            assert_eq!(tags, scalar, "B({n}) {} scalar", source.name());
         }
     }
 

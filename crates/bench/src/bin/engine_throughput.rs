@@ -47,6 +47,7 @@ use benes_engine::workload::mixed_workload;
 use benes_engine::{Engine, EngineConfig, EngineStats};
 use benes_perm::Permutation;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -170,24 +171,45 @@ fn scaling_factor(spec: &str) -> f64 {
 /// workload index, each submitting one request and waiting for its
 /// outcome before taking the next, bounding in-flight requests at
 /// `clients`.
+///
+/// The window runs from the release of the already-spawned clients to
+/// the last reply: the load generator's thread start-up and exit are
+/// not the engine's work. (On a 2-core VM the 16 client spawns of an
+/// 8-worker cell, competing with busy workers for the cores, took
+/// ~1.4 ms, as long as the engine needs for ~90 of the smoke test's 200
+/// requests; a 1-worker cell spawns 2.) Each client stamps its release
+/// and its last reply, so no request falls outside the window.
 fn run_closed(engine: &Engine, stream: &[Permutation], clients: usize) -> Duration {
     let next = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..clients {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(perm) = stream.get(i) else { break };
-                let outcome = engine.submit(perm.clone()).wait();
-                assert!(
-                    outcome.is_ok(),
-                    "closed-loop request failed: {:?}",
-                    outcome.result
-                );
-            });
-        }
+    let ready = Barrier::new(clients);
+    let stamps: Vec<(Instant, Instant)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                s.spawn(|| {
+                    ready.wait();
+                    let released = Instant::now();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(perm) = stream.get(i) else { break };
+                        let outcome = engine.submit(perm.clone()).wait();
+                        assert!(
+                            outcome.is_ok(),
+                            "closed-loop request failed: {:?}",
+                            outcome.result
+                        );
+                    }
+                    (released, Instant::now())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("closed-loop client panicked"))
+            .collect()
     });
-    start.elapsed()
+    let start = stamps.iter().map(|s| s.0).min().expect("at least one client");
+    let end = stamps.iter().map(|s| s.1).max().expect("at least one client");
+    end - start
 }
 
 /// Paced open-loop driver: `submitters` threads offer requests on an

@@ -5,18 +5,23 @@
 //! (`Benes::self_route`) and the bitmask-word kernel
 //! (`Benes::self_route_fast`), which advances whole switch columns as
 //! `u64` masks — and reports single-thread routes/s and the speed-up.
-//! The omega-bit kernel pair is measured the same way. Every word
-//! outcome is checked against the scalar oracle's success verdict, so
-//! the numbers can't come from a kernel that routes wrong.
+//! The omega-bit kernel pair is measured the same way. A third pair
+//! times the replay of an external (Waksman) set-up: the scalar
+//! `Benes::realized_permutation` walk against the word kernel with the
+//! set-up given as a column-mask program (`word::route` with
+//! `Columns::Given`), over a stream of arbitrary permutations. Every
+//! word outcome is checked against the scalar oracle's verdict before
+//! timing, so the numbers can't come from a kernel that routes wrong.
 //!
 //! Usage: `word_kernel [--perms N] [--assert-speedup FACTOR]`
 //!
-//! `--assert-speedup` fails the process unless the word kernel beats
-//! the scalar kernel by the given factor at `n = 8` (the engine
-//! benchmark's largest order).
+//! `--assert-speedup` fails the process unless, at `n = 8` (the engine
+//! benchmark's largest order), both the word self-route and the word
+//! settings replay beat their scalar counterparts by the given factor.
 
 use benes_bench::{random_f_member, Table};
-use benes_core::Benes;
+use benes_core::word::{self, Columns, MaskProgram};
+use benes_core::{waksman, Benes};
 use benes_perm::Permutation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,10 +77,14 @@ fn main() {
         "omega scalar/s",
         "omega word/s",
         "omega speed-up",
+        "replay scalar/s",
+        "replay word/s",
+        "replay speed-up",
     ]);
 
     let grid = [4u32, 6, 8, 10];
     let mut speedup_at_8 = 0.0f64;
+    let mut replay_speedup_at_8 = 0.0f64;
     for n in grid {
         let net = Benes::new(n);
         let stream: Vec<Permutation> =
@@ -99,9 +108,42 @@ fn main() {
         let (oword_s, _) =
             time_over(&stream, |d| net.self_route_omega_fast(d).unwrap().is_success());
 
+        // Settings replay: Waksman set-ups of arbitrary permutations,
+        // paid untimed, then replayed by both executors. Own seed stream,
+        // so the self-route rows keep their inputs.
+        let mut replay_rng = StdRng::seed_from_u64(0x5e77 ^ u64::from(n));
+        let replays: Vec<(Permutation, _, MaskProgram)> = (0..perms)
+            .map(|_| {
+                let d = benes_bench::random_permutation(&mut replay_rng, 1 << n);
+                let settings = waksman::setup(&d).expect("order in range");
+                let program = MaskProgram::from_settings(&settings);
+                (d, settings, program)
+            })
+            .collect();
+        let word_replay = |d: &Permutation, program: &MaskProgram| {
+            word::route(n, d, Columns::Given(program), None).unwrap().is_success()
+        };
+        for (d, settings, program) in &replays {
+            assert!(net.realized_permutation(settings).unwrap() == *d);
+            assert!(word_replay(d, program), "word replay disagrees at n = {n}");
+        }
+        let start = Instant::now();
+        let rscalar_ok = replays
+            .iter()
+            .filter(|(d, settings, _)| net.realized_permutation(settings).unwrap() == *d)
+            .count();
+        let rscalar_s = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let rword_ok =
+            replays.iter().filter(|(d, _, program)| word_replay(d, program)).count();
+        let rword_s = start.elapsed().as_secs_f64();
+        assert_eq!(rscalar_ok, rword_ok);
+
         let speedup = scalar_s / word_s;
+        let replay_speedup = rscalar_s / rword_s;
         if n == 8 {
             speedup_at_8 = speedup;
+            replay_speedup_at_8 = replay_speedup;
         }
         table.row(vec![
             n.to_string(),
@@ -113,6 +155,9 @@ fn main() {
             format!("{:.0}", perms as f64 / oscalar_s),
             format!("{:.0}", perms as f64 / oword_s),
             format!("{:.1}x", oscalar_s / oword_s),
+            format!("{:.0}", perms as f64 / rscalar_s),
+            format!("{:.0}", perms as f64 / rword_s),
+            format!("{replay_speedup:.1}x"),
         ]);
     }
     println!("{}", table.render());
@@ -120,7 +165,9 @@ fn main() {
         "observation: the word kernel advances a whole switch column per mask\n\
          operation (delta-swaps below word width, word-pair swaps above), so its\n\
          advantage grows with N — the scalar kernel touches every tag at every\n\
-         stage, the word kernel touches N/64 words per bit-plane."
+         stage, the word kernel touches N/64 words per bit-plane. A settings\n\
+         replay is the same column loop with the masks given instead of read\n\
+         from a tag plane."
     );
 
     if let Some(factor) = assert_speedup {
@@ -129,8 +176,14 @@ fn main() {
             "word-kernel speed-up regressed at n = 8: {speedup_at_8:.1}x < \
              required {factor:.1}x"
         );
+        assert!(
+            replay_speedup_at_8 >= factor,
+            "settings-replay speed-up regressed at n = 8: {replay_speedup_at_8:.1}x < \
+             required {factor:.1}x"
+        );
         println!(
-            "\nspeed-up check: {speedup_at_8:.1}x at n = 8 (required >= {factor:.1}x)"
+            "\nspeed-up check at n = 8: self-route {speedup_at_8:.1}x, settings replay \
+             {replay_speedup_at_8:.1}x (required >= {factor:.1}x)"
         );
     }
 }

@@ -808,7 +808,7 @@ fn analyze_word(args: &[String]) -> Result<String, CliError> {
         out.push_str(&format!(
             "proven: B({}) {} kernel ≡ scalar oracle — {} stages, {} per-bit checks\n",
             c.n,
-            if c.omega { "omega-bit" } else { "self-route" },
+            c.source.name(),
             c.stages,
             c.checks
         ));
@@ -1870,6 +1870,7 @@ mod extension_tests {
         assert!(out.contains("word-kernel equivalence proof: certified"), "{out}");
         assert!(out.contains("B(3) self-route kernel"), "{out}");
         assert!(out.contains("B(3) omega-bit kernel"), "{out}");
+        assert!(out.contains("B(3) given-mask kernel"), "{out}");
         assert!(out.contains("zero sampled inputs"), "{out}");
         assert!(run_str("analyze word 9").is_err());
         assert!(run_str("analyze word 0").is_err());

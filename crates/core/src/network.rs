@@ -411,12 +411,13 @@ impl Benes {
     /// network realizes under it: input `i` emerges at output
     /// `realized[i]`.
     ///
-    /// This is the **settings-replay** entry point for plan caches and
-    /// other serving layers: a [`SwitchSettings`] computed once (by
-    /// [`crate::waksman::setup`], a self-routing pass, or deserialization)
-    /// can be re-applied in a single `O(N log N)` transit with **zero**
-    /// set-up work, and this method states exactly which permutation that
-    /// replay performs.
+    /// This is the scalar **settings-replay** oracle: a [`SwitchSettings`]
+    /// computed once (by [`crate::waksman::setup`], a self-routing pass,
+    /// or deserialization) can be re-applied in a single `O(N log N)`
+    /// transit with **zero** set-up work, and this method states exactly
+    /// which permutation that replay performs. Serving layers replay the
+    /// same assignment as a [`crate::word::MaskProgram`] on the
+    /// word-parallel kernel, which is proven equal to this walk.
     ///
     /// # Errors
     ///

@@ -15,12 +15,16 @@
 //! * [`control_bit`] — the destination-tag bit examined by the switches of
 //!   each stage under the paper's self-routing rule (stage `b` and stage
 //!   `2n−2−b` both use bit `b`, Fig. 3);
-//! * the closed-form size accessors ([`stage_count`], [`switch_count`]).
+//! * the closed-form size accessors ([`stage_count`], [`switch_count`]);
+//! * [`flat_upper`] — the per-order position table mapping each switch to
+//!   its bit in a word-kernel column mask.
 //!
 //! Port numbering: in every stage, switch `i` owns input ports `2i`
 //! (upper) and `2i+1` (lower), and output ports `2i` and `2i+1` likewise.
 //! Terminal `i` of the network is input port `i` of stage 0 and output
 //! port `i` of the last stage.
+
+use std::sync::OnceLock;
 
 /// Maximum supported `n`. `B(20)` already has one million terminals and
 /// ~20 M switches; larger networks exhaust memory long before correctness
@@ -182,6 +186,45 @@ pub fn build_links(n: u32) -> Vec<Vec<u32>> {
     }
     links.push(last);
     links
+}
+
+/// The per-order position table of `B(n)`: entry `s·N/2 + i` is the
+/// flattened coordinate (see [`crate::word`]) of the upper input of
+/// switch `i` in stage `s`, i.e. the bit a column mask uses for that
+/// switch.
+///
+/// Built once per order per process by walking [`build_links`], so
+/// converting switch assignments to and from column masks never repeats
+/// the link walk.
+///
+/// # Panics
+///
+/// Panics if `n` is out of range.
+#[must_use]
+pub fn flat_upper(n: u32) -> &'static [u32] {
+    static TABLES: [OnceLock<Box<[u32]>>; MAX_N as usize + 1] =
+        [const { OnceLock::new() }; MAX_N as usize + 1];
+    validate_n(n);
+    TABLES[n as usize].get_or_init(|| {
+        let size = terminal_count(n);
+        let links = build_links(n);
+        let mut table = Vec::with_capacity(switch_count(n));
+        // p2f[q] = flattened coordinate at physical port q: the identity
+        // at stage 0, carried forward by each link.
+        // analyze:allow(truncating-cast): size = 2^n ≤ 2^MAX_N
+        let mut p2f: Vec<u32> = (0..size as u32).collect();
+        for s in 0..stage_count(n) {
+            table.extend(p2f.iter().step_by(2));
+            if let Some(link) = links.get(s) {
+                let mut next = vec![0u32; size];
+                for (&f, &q) in p2f.iter().zip(link) {
+                    next[q as usize] = f;
+                }
+                p2f = next;
+            }
+        }
+        table.into_boxed_slice()
+    })
 }
 
 #[cfg(test)]

@@ -22,22 +22,26 @@
 //! output terminals. Consequently the kernel needs **no link permutations at
 //! all** — just one masked delta-swap per stage per bit plane. The
 //! `flattened_pairing_is_control_bit` test verifies this structural claim
-//! against [`Benes::link`] for every order up to `B(8)`.
+//! against [`Benes::link`](crate::network::Benes::link) for every order up
+//! to `B(8)`.
 //!
 //! # Representation
 //!
 //! A routing state is `n` **bit planes** of `N = 2^n` bits each, packed into
 //! `W = max(1, N/64)` words per plane: bit `p` of plane `b` holds bit `b` of
 //! the destination tag currently at flattened position `p`. Stage `s` with
-//! pairing distance `d = 2^{δ(s)}` then reads its whole cross-mask from
-//! plane `δ(s)` (the upper input's control bit, for every switch at once),
-//! overlays any stuck/dead fault masks, and applies the column with
+//! pairing distance `d = 2^{δ(s)}` then takes its whole commanded cross-mask
+//! from one of three [`Columns`] sources — plane `δ(s)` (the upper input's
+//! control bit, for every switch at once), all-straight (the omega bit's
+//! forced prefix), or a given [`MaskProgram`] (an external set-up) —
+//! overlays any stuck/dead [`FaultMasks`], and applies the column with
 //! [`benes_bits::delta_swap`] (intra-word for `d < 64`, word-pair XOR
 //! otherwise).
 //!
 //! The scalar kernels remain the **oracle**: exhaustive `B(2)`/`B(3)` and
-//! property-based `B(4..8)` tests assert output- and settings-level
-//! agreement on healthy and faulty fabrics.
+//! property-based `B(1..10)` tests assert output- and settings-level
+//! agreement on healthy and faulty fabrics, for tag-derived and given
+//! columns alike.
 //!
 //! # Examples
 //!
@@ -54,8 +58,8 @@
 
 use benes_perm::Permutation;
 
-use crate::faults::FaultSet;
-use crate::network::{Benes, NetworkError, SwitchSettings, SwitchState};
+use crate::faults::{FaultKind, FaultSet};
+use crate::network::{NetworkError, SwitchSettings, SwitchState};
 use crate::topology;
 
 /// Words per bit plane for an order-`n` network.
@@ -84,8 +88,8 @@ fn identity_plane_word(n: u32, b: u32, w: usize) -> u64 {
     }
 }
 
-/// Per-stage fault overlay masks in flattened upper-position coordinates.
-#[derive(Clone, Default)]
+/// One stage of a [`FaultMasks`] overlay.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct StageFaults {
     /// Upper positions whose switch is stuck (either way): commanded bit is
     /// ignored there.
@@ -96,6 +100,174 @@ struct StageFaults {
     dead: Vec<u64>,
     /// Whether this stage has any fault at all (fast skip).
     any: bool,
+}
+
+/// A [`FaultSet`] in word form: per-stage stuck / stuck-cross / dead masks
+/// in flattened upper-position coordinates, overlaid on every column as
+/// `((commanded & !stuck) | stuck_cross) ^ dead`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultMasks {
+    n: u32,
+    stages: Vec<StageFaults>,
+}
+
+impl FaultMasks {
+    /// Builds the overlay for `faults` through the per-order position
+    /// table ([`topology::flat_upper`]).
+    #[must_use]
+    pub fn new(faults: &FaultSet) -> Self {
+        let n = faults.n();
+        let words = word_count(n);
+        let half = topology::switches_per_stage(n);
+        let table = topology::flat_upper(n);
+        let blank = StageFaults {
+            stuck: vec![0; words],
+            stuck_cross: vec![0; words],
+            dead: vec![0; words],
+            any: false,
+        };
+        let mut stages = vec![blank; topology::stage_count(n)];
+        for (s, switch, kind) in faults.iter() {
+            let u = table[s * half + switch] as usize;
+            let (w, bit) = (u >> 6, 1u64 << (u & 63));
+            let masks = &mut stages[s];
+            masks.any = true;
+            match kind {
+                FaultKind::StuckStraight => masks.stuck[w] |= bit,
+                FaultKind::StuckCross => {
+                    masks.stuck[w] |= bit;
+                    masks.stuck_cross[w] |= bit;
+                }
+                FaultKind::Dead => masks.dead[w] |= bit,
+            }
+        }
+        Self { n, stages }
+    }
+}
+
+/// An explicit switch assignment in the word kernel's own form: one
+/// cross-mask per stage, with bit `flat_upper(s)[i]` set iff switch `i` of
+/// stage `s` is crossed (see [`topology::flat_upper`]).
+///
+/// This is how a plan computed by external set-up (Waksman, fault-avoiding
+/// set-up) is stored and replayed: `2n − 1` columns of `max(1, N/64)`
+/// words — 480 bytes at `n = 8` — replayed by [`route`] with
+/// [`Columns::Given`] at the cost of one word-kernel pass.
+///
+/// # Examples
+///
+/// ```
+/// use benes_core::word::{self, Columns, MaskProgram};
+/// use benes_core::{waksman, Benes};
+/// use benes_perm::Permutation;
+///
+/// let d = Permutation::from_destinations(vec![2, 5, 3, 7, 1, 6, 4, 0]).unwrap();
+/// let settings = waksman::setup(&d).unwrap();
+/// let program = MaskProgram::from_settings(&settings);
+/// assert_eq!(program.to_settings(), settings);
+/// // Routing the destination tags through the program lands each one on
+/// // its own output: the program realizes `d`.
+/// assert!(word::route(3, &d, Columns::Given(&program), None).unwrap().is_success());
+/// assert_eq!(Benes::new(3).realized_permutation(&settings).unwrap(), d);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct MaskProgram {
+    n: u32,
+    masks: Vec<u64>,
+}
+
+impl MaskProgram {
+    /// Every switch straight (the program realizes the identity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range (see [`topology::MAX_N`]).
+    #[must_use]
+    pub fn all_straight(n: u32) -> Self {
+        Self { n, masks: vec![0; topology::stage_count(n) * word_count(n)] }
+    }
+
+    /// Converts a per-switch assignment into column masks.
+    #[must_use]
+    pub fn from_settings(settings: &SwitchSettings) -> Self {
+        let n = settings.n();
+        let words = word_count(n);
+        let half = topology::switches_per_stage(n);
+        let table = topology::flat_upper(n);
+        let mut program = Self::all_straight(n);
+        for s in 0..settings.stage_count() {
+            let column = &mut program.masks[s * words..(s + 1) * words];
+            let rows = &table[s * half..(s + 1) * half];
+            for (&state, &u) in settings.stage(s).iter().zip(rows) {
+                column[u as usize >> 6] |= state.as_bit() << (u & 63);
+            }
+        }
+        program
+    }
+
+    /// Converts the column masks back into a per-switch assignment (the
+    /// form the scalar oracles and route traces take).
+    #[must_use]
+    pub fn to_settings(&self) -> SwitchSettings {
+        let half = topology::switches_per_stage(self.n);
+        let table = topology::flat_upper(self.n);
+        let mut settings = SwitchSettings::all_straight(self.n);
+        for (s, rows) in table.chunks(half).enumerate() {
+            let column = self.stage(s);
+            for (i, &u) in rows.iter().enumerate() {
+                if (column[u as usize >> 6] >> (u & 63)) & 1 == 1 {
+                    settings.set(s, i, SwitchState::Cross);
+                }
+            }
+        }
+        settings
+    }
+
+    /// The cross-mask of one stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` is out of range.
+    #[must_use]
+    pub fn stage(&self, stage: usize) -> &[u64] {
+        let words = word_count(self.n);
+        &self.masks[stage * words..(stage + 1) * words]
+    }
+
+    /// Whether the program **agrees** with every fault in `faults` (the
+    /// mask form of [`FaultSet::agrees_with`]): in every stage each stuck
+    /// switch is commanded its stuck state, `(program & stuck) ==
+    /// stuck_cross`, and no switch is dead. The overlay is then a no-op, so
+    /// a program that realizes `D` on the healthy fabric realizes it on the
+    /// faulty one too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `faults` was built for a different order.
+    #[must_use]
+    pub fn agrees_with(&self, faults: &FaultMasks) -> bool {
+        assert_eq!(self.n, faults.n, "fault masks order must match the program");
+        faults.stages.iter().enumerate().filter(|(_, f)| f.any).all(|(s, f)| {
+            self.stage(s).iter().zip(&f.stuck).zip(&f.stuck_cross).zip(&f.dead).all(
+                |(((&m, &stuck), &stuck_cross), &dead)| {
+                    m & stuck == stuck_cross && dead == 0
+                },
+            )
+        })
+    }
+}
+
+/// Where each column's commanded cross-mask comes from in [`route`].
+#[derive(Debug, Clone, Copy)]
+pub enum Columns<'a> {
+    /// The Fig. 3 tag rule: each switch crosses iff its upper input's
+    /// control bit is set.
+    Tags,
+    /// The omega bit asserted (§II after Theorem 3): stages `0..n−1`
+    /// straight, the trailing omega half by the tag rule.
+    Omega,
+    /// An externally computed assignment, replayed as given.
+    Given(&'a MaskProgram),
 }
 
 /// The result of a word-parallel self-routing pass.
@@ -156,87 +328,13 @@ impl WordOutcome {
         out
     }
 
-    /// Recovers the realized [`SwitchSettings`] by mapping each stage's
-    /// flattened cross-mask back to physical switch indices via `net`'s
-    /// links. Intended for oracle comparison against the scalar kernels.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::SettingsOrder`] if `net` is of a different order.
-    pub fn settings(&self, net: &Benes) -> Result<SwitchSettings, NetworkError> {
-        if net.n() != self.n {
-            return Err(NetworkError::SettingsOrder {
-                network_n: net.n(),
-                settings_n: self.n,
-            });
-        }
-        let size = 1usize << self.n;
-        let stages = 2 * self.n as usize - 1;
-        let mut settings = SwitchSettings::all_straight(self.n);
-        // p2f[q] = flattened coordinate handled by physical port q at the
-        // current stage; identity at stage 0, advanced by each link.
-        let mut p2f: Vec<u32> = (0..size as u32).collect();
-        for s in 0..stages {
-            let cross = &self.stage_cross[s * self.words..(s + 1) * self.words];
-            for i in 0..size / 2 {
-                let u = p2f[2 * i] as usize;
-                if (cross[u >> 6] >> (u & 63)) & 1 == 1 {
-                    settings.set(s, i, SwitchState::Cross);
-                }
-            }
-            if s + 1 < stages {
-                p2f = advance(&p2f, net.link(s));
-            }
-        }
-        Ok(settings)
+    /// Recovers the realized [`SwitchSettings`] from the applied
+    /// cross-masks. Intended for oracle comparison against the scalar
+    /// kernels.
+    #[must_use]
+    pub fn settings(&self) -> SwitchSettings {
+        MaskProgram { n: self.n, masks: self.stage_cross.clone() }.to_settings()
     }
-}
-
-/// Advances the physical→flattened map across one inter-stage link: the
-/// element at output port `p` arrives at input port `link[p]`.
-fn advance(p2f: &[u32], link: &[u32]) -> Vec<u32> {
-    let mut next = vec![0u32; p2f.len()];
-    for (p, &f) in p2f.iter().enumerate() {
-        next[link[p] as usize] = f;
-    }
-    next
-}
-
-/// Builds per-stage fault masks in flattened upper-position coordinates by
-/// walking the physical→flattened map through the links once.
-fn stage_fault_masks(net: &Benes, faults: &FaultSet) -> Vec<StageFaults> {
-    let size = net.terminal_count();
-    let words = word_count(net.n());
-    let stages = net.stage_count();
-    let mut out = vec![
-        StageFaults {
-            stuck: vec![0; words],
-            stuck_cross: vec![0; words],
-            dead: vec![0; words],
-            any: false
-        };
-        stages
-    ];
-    let mut p2f: Vec<u32> = (0..size as u32).collect();
-    for (s, masks) in out.iter_mut().enumerate() {
-        for (_, switch, kind) in faults.iter().filter(|&(fs, _, _)| fs == s) {
-            let u = p2f[2 * switch] as usize;
-            let (w, bit) = (u >> 6, 1u64 << (u & 63));
-            masks.any = true;
-            match kind {
-                crate::faults::FaultKind::StuckStraight => masks.stuck[w] |= bit,
-                crate::faults::FaultKind::StuckCross => {
-                    masks.stuck[w] |= bit;
-                    masks.stuck_cross[w] |= bit;
-                }
-                crate::faults::FaultKind::Dead => masks.dead[w] |= bit,
-            }
-        }
-        if s + 1 < stages {
-            p2f = advance(&p2f, net.link(s));
-        }
-    }
-    out
 }
 
 /// Packs one `≤ 64`-position chunk of destination tags into per-plane
@@ -327,17 +425,65 @@ fn pack(n: u32, d: &Permutation) -> Vec<u64> {
     planes
 }
 
-/// The shared column-at-a-time routing pass.
-fn route(
+/// The column-at-a-time routing pass: routes the destination tags of `d`
+/// through `B(n)`, taking each column's commanded cross-mask from
+/// `columns` and overlaying `faults` (when given) on every column.
+///
+/// This one loop serves every plan the engine executes: tag-derived
+/// columns ([`Columns::Tags`]) are Theorem-1 self-routing, omega-forced
+/// columns ([`Columns::Omega`]) the §II omega bit, and given columns
+/// ([`Columns::Given`]) the replay of an external set-up. With given
+/// columns the outcome succeeds iff the program realizes `d`, exactly as
+/// `Benes::realized_permutation(&program.to_settings()) == d`.
+///
+/// # Errors
+///
+/// [`NetworkError::PermutationLength`] if `d.len() != 2^n`;
+/// [`NetworkError::SettingsOrder`] if a given program is for another order.
+///
+/// # Panics
+///
+/// Panics if `n == 0` or `faults` was built for a different order.
+///
+/// # Examples
+///
+/// ```
+/// use benes_core::word::{self, Columns, FaultMasks, MaskProgram};
+/// use benes_core::{FaultKind, FaultSet};
+/// use benes_perm::Permutation;
+///
+/// // The all-straight program realizes the identity…
+/// let id = Permutation::identity(8);
+/// let straight = MaskProgram::all_straight(3);
+/// assert!(word::route(3, &id, Columns::Given(&straight), None).unwrap().is_success());
+/// // …until a switch sticks at cross.
+/// let mut faults = FaultSet::new(3);
+/// faults.insert(2, 1, FaultKind::StuckCross).unwrap();
+/// let overlay = FaultMasks::new(&faults);
+/// let broken = word::route(3, &id, Columns::Given(&straight), Some(&overlay)).unwrap();
+/// assert!(!broken.is_success());
+/// ```
+pub fn route(
     n: u32,
     d: &Permutation,
-    omega: bool,
-    faults: Option<&[StageFaults]>,
+    columns: Columns<'_>,
+    faults: Option<&FaultMasks>,
 ) -> Result<WordOutcome, NetworkError> {
     assert!(n >= 1, "word kernels require n >= 1");
     let size = 1usize << n;
     if d.len() != size {
         return Err(NetworkError::PermutationLength { expected: size, actual: d.len() });
+    }
+    if let Columns::Given(program) = columns {
+        if program.n != n {
+            return Err(NetworkError::SettingsOrder {
+                network_n: n,
+                settings_n: program.n,
+            });
+        }
+    }
+    if let Some(f) = faults {
+        assert_eq!(f.n, n, "fault masks order must match the network");
     }
     let words = word_count(n);
     let mut planes = pack(n, d);
@@ -347,24 +493,30 @@ fn route(
     let mut stage_cross = vec![0u64; stages * words];
     for s in 0..stages {
         let c = topology::control_bit(n, s);
-        let forced_straight = omega && s < forced_below;
-        let sf = faults.and_then(|f| f[s].any.then_some(&f[s]));
-        if forced_straight && sf.is_none() {
+        let sf = faults.and_then(|f| f.stages[s].any.then_some(&f.stages[s]));
+        // The commanded column: the upper input's control bit, read for
+        // the whole column from plane δ(s); or the given program's column.
+        let commanded = match columns {
+            Columns::Omega if s < forced_below => None,
+            Columns::Tags | Columns::Omega => {
+                Some(&planes[c as usize * words..(c as usize + 1) * words])
+            }
+            Columns::Given(program) => Some(program.stage(s)),
+        };
+        if commanded.is_none() && sf.is_none() {
             // A healthy forced-straight column moves nothing: skip it.
             continue;
         }
         let cross = &mut stage_cross[s * words..(s + 1) * words];
-        if !forced_straight {
-            // Commanded mask: control bit of the upper input of every pair,
-            // read for the whole column from plane δ(s).
-            let plane_c = &planes[c as usize * words..(c as usize + 1) * words];
+        if let Some(source) = commanded {
+            // Keep only the upper position of every pair (bit δ(s) clear).
             if c < 6 {
                 let m = benes_bits::delta_mask(c);
-                for (cw, &pw) in cross.iter_mut().zip(plane_c) {
+                for (cw, &pw) in cross.iter_mut().zip(source) {
                     *cw = pw & m;
                 }
             } else {
-                for (w, (cw, &pw)) in cross.iter_mut().zip(plane_c).enumerate() {
+                for (w, (cw, &pw)) in cross.iter_mut().zip(source).enumerate() {
                     *cw = if (w >> (c - 6)) & 1 == 0 { pw } else { 0 };
                 }
             }
@@ -424,7 +576,7 @@ fn route(
 /// assert!(word::self_route_omega(2, &d).unwrap().is_success());
 /// ```
 pub fn self_route(n: u32, d: &Permutation) -> Result<WordOutcome, NetworkError> {
-    route(n, d, false, None)
+    route(n, d, Columns::Tags, None)
 }
 
 /// Word-parallel omega-bit self-routing: stages `0..n−1` forced straight,
@@ -434,61 +586,29 @@ pub fn self_route(n: u32, d: &Permutation) -> Result<WordOutcome, NetworkError> 
 ///
 /// [`NetworkError::PermutationLength`] if `d.len() != 2^n`.
 pub fn self_route_omega(n: u32, d: &Permutation) -> Result<WordOutcome, NetworkError> {
-    route(n, d, true, None)
-}
-
-/// Word-parallel self-routing over a faulty fabric: stuck/dead switches are
-/// overlaid per stage as flattened masks (the word form of
-/// [`crate::faults::self_route_with_faults`]).
-///
-/// # Panics
-///
-/// Panics if `faults` was built for a different order than `net`.
-///
-/// # Errors
-///
-/// [`NetworkError::PermutationLength`] if `d.len()` is not `net`'s terminal
-/// count.
-pub fn self_route_with_faults(
-    net: &Benes,
-    d: &Permutation,
-    faults: &FaultSet,
-) -> Result<WordOutcome, NetworkError> {
-    assert_eq!(net.n(), faults.n(), "fault set order must match the network");
-    route(net.n(), d, false, Some(&stage_fault_masks(net, faults)))
-}
-
-/// Word-parallel omega-bit self-routing over a faulty fabric.
-///
-/// Note that faults fire even in the forced-straight stages: a dead or
-/// stuck-cross switch there still disturbs the column, exactly as in the
-/// scalar [`crate::faults::self_route_omega_with_faults`].
-///
-/// # Panics
-///
-/// Panics if `faults` was built for a different order than `net`.
-///
-/// # Errors
-///
-/// [`NetworkError::PermutationLength`] if `d.len()` is not `net`'s terminal
-/// count.
-pub fn self_route_omega_with_faults(
-    net: &Benes,
-    d: &Permutation,
-    faults: &FaultSet,
-) -> Result<WordOutcome, NetworkError> {
-    assert_eq!(net.n(), faults.n(), "fault set order must match the network");
-    route(net.n(), d, true, Some(&stage_fault_masks(net, faults)))
+    route(n, d, Columns::Omega, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::{self, FaultKind};
+    use crate::network::Benes;
+
+    /// Advances the physical→flattened map across one inter-stage link:
+    /// the element at output port `p` arrives at input port `link[p]`.
+    fn advance(p2f: &[u32], link: &[u32]) -> Vec<u32> {
+        let mut next = vec![0u32; p2f.len()];
+        for (p, &f) in p2f.iter().enumerate() {
+            next[link[p] as usize] = f;
+        }
+        next
+    }
 
     /// The structural claim the whole module rests on: tracked through the
     /// links, stage `s` pairs flattened positions differing in exactly bit
-    /// `control_bit(s)` (physical upper port = bit clear), and the
+    /// `control_bit(s)` (physical upper port = bit clear), the position
+    /// table names each upper port's flattened coordinate, and the
     /// composition of all links is the identity.
     #[test]
     fn flattened_pairing_is_control_bit() {
@@ -504,6 +624,8 @@ mod tests {
                     let lower = p2f[2 * i + 1];
                     assert_eq!(upper >> c & 1, 0, "B({n}) stage {s} switch {i}");
                     assert_eq!(lower, upper | (1 << c), "B({n}) stage {s} switch {i}");
+                    let table = topology::flat_upper(n)[s * size / 2 + i];
+                    assert_eq!(table, upper, "B({n}) position table");
                 }
                 if s + 1 < stages {
                     p2f = advance(&p2f, net.link(s));
@@ -568,11 +690,7 @@ mod tests {
                 let word = self_route(n, &d).unwrap();
                 assert_eq!(word.is_success(), scalar.is_success(), "B({n}) {d:?}");
                 assert_eq!(word.outputs(), scalar.outputs(), "B({n}) {d:?}");
-                assert_eq!(
-                    &word.settings(&net).unwrap(),
-                    scalar.settings(),
-                    "B({n}) {d:?}"
-                );
+                assert_eq!(&word.settings(), scalar.settings(), "B({n}) {d:?}");
 
                 let scalar_o = net.self_route_omega(&d);
                 let word_o = self_route_omega(n, &d).unwrap();
@@ -582,11 +700,7 @@ mod tests {
                     "B({n}) omega {d:?}"
                 );
                 assert_eq!(word_o.outputs(), scalar_o.outputs(), "B({n}) omega {d:?}");
-                assert_eq!(
-                    &word_o.settings(&net).unwrap(),
-                    scalar_o.settings(),
-                    "B({n}) omega {d:?}"
-                );
+                assert_eq!(&word_o.settings(), scalar_o.settings(), "B({n}) omega {d:?}");
             }
         }
     }
@@ -612,30 +726,78 @@ mod tests {
         for fs in &fault_sets {
             for d in all_perms(1 << n) {
                 let scalar = faults::self_route_with_faults(&net, &d, fs);
-                let word = self_route_with_faults(&net, &d, fs).unwrap();
+                let word = route(n, &d, Columns::Tags, Some(&FaultMasks::new(fs))).unwrap();
                 assert_eq!(word.is_success(), scalar.is_success(), "{fs:?} {d:?}");
                 assert_eq!(word.outputs(), scalar.outputs(), "{fs:?} {d:?}");
-                assert_eq!(
-                    &word.settings(&net).unwrap(),
-                    scalar.settings(),
-                    "{fs:?} {d:?}"
-                );
+                assert_eq!(&word.settings(), scalar.settings(), "{fs:?} {d:?}");
 
                 let scalar_o = faults::self_route_omega_with_faults(&net, &d, fs);
-                let word_o = self_route_omega_with_faults(&net, &d, fs).unwrap();
+                let word_o =
+                    route(n, &d, Columns::Omega, Some(&FaultMasks::new(fs))).unwrap();
                 assert_eq!(
                     word_o.is_success(),
                     scalar_o.is_success(),
                     "omega {fs:?} {d:?}"
                 );
                 assert_eq!(word_o.outputs(), scalar_o.outputs(), "omega {fs:?} {d:?}");
+                assert_eq!(&word_o.settings(), scalar_o.settings(), "omega {fs:?} {d:?}");
+            }
+        }
+    }
+
+    /// Given columns replay external set-ups exactly as the scalar
+    /// `route_with` walk does, on healthy and faulty fabrics: every
+    /// Waksman program of B(2)/B(3) realizes its permutation, and a
+    /// program built from arbitrary settings moves tags like the scalar
+    /// replay, with and without overlay.
+    #[test]
+    fn given_columns_agree_with_scalar_replay() {
+        for n in [2u32, 3] {
+            let net = Benes::new(n);
+            let fs =
+                fault_set(n, &[(0, 1, FaultKind::StuckCross), (2, 0, FaultKind::Dead)]);
+            let overlay = FaultMasks::new(&fs);
+            for (k, d) in all_perms(1 << n).into_iter().enumerate() {
+                let program =
+                    MaskProgram::from_settings(&crate::waksman::setup(&d).unwrap());
+                let replay = route(n, &d, Columns::Given(&program), None).unwrap();
+                assert!(replay.is_success(), "B({n}) {d:?}");
+
+                // Arbitrary settings: pick each switch from the index bits.
+                let mut settings = SwitchSettings::all_straight(n);
+                for s in 0..net.stage_count() {
+                    for i in 0..net.switches_per_stage() {
+                        let bit = ((k * 7 + s * 5 + i * 3) >> 1) as u64 & 1;
+                        settings.set(s, i, SwitchState::from_bit(bit));
+                    }
+                }
+                let program = MaskProgram::from_settings(&settings);
+                assert_eq!(program.to_settings(), settings);
+                let tags = d.destinations();
+                let word = route(n, &d, Columns::Given(&program), None).unwrap();
+                assert_eq!(word.outputs(), net.route_with(&settings, tags).unwrap());
+                assert_eq!(word.settings(), settings);
+                let word_f =
+                    route(n, &d, Columns::Given(&program), Some(&overlay)).unwrap();
+                let scalar_f =
+                    faults::route_with_faults(&net, &settings, &fs, tags).unwrap();
+                assert_eq!(word_f.outputs(), scalar_f, "B({n}) faulty {d:?}");
                 assert_eq!(
-                    &word_o.settings(&net).unwrap(),
-                    scalar_o.settings(),
-                    "omega {fs:?} {d:?}"
+                    program.agrees_with(&overlay),
+                    fs.agrees_with(&settings),
+                    "B({n}) agreement"
                 );
             }
         }
+    }
+
+    #[test]
+    fn given_columns_reject_a_program_of_another_order() {
+        let d = Permutation::identity(8);
+        assert_eq!(
+            route(3, &d, Columns::Given(&MaskProgram::all_straight(2)), None),
+            Err(NetworkError::SettingsOrder { network_n: 3, settings_n: 2 })
+        );
     }
 
     /// Multi-word orders exercise the cross-word (`δ(s) ≥ 6`) column path:
@@ -650,18 +812,15 @@ mod tests {
                 let word = self_route(n, &d).unwrap();
                 assert_eq!(word.is_success(), scalar.is_success(), "B({n}) seed {seed}");
                 assert_eq!(word.outputs(), scalar.outputs(), "B({n}) seed {seed}");
-                assert_eq!(
-                    &word.settings(&net).unwrap(),
-                    scalar.settings(),
-                    "B({n}) seed {seed}"
-                );
+                assert_eq!(&word.settings(), scalar.settings(), "B({n}) seed {seed}");
             }
             // Random stuck/dead fabric at the same orders.
             let fs = FaultSet::random_stuck(n, 4, 0xfab ^ u64::from(n));
             for seed in 0..4u64 {
                 let d = lcg_perm(n, seed ^ 0xabcd);
                 let scalar = faults::self_route_with_faults(&net, &d, &fs);
-                let word = self_route_with_faults(&net, &d, &fs).unwrap();
+                let word =
+                    route(n, &d, Columns::Tags, Some(&FaultMasks::new(&fs))).unwrap();
                 assert_eq!(word.outputs(), scalar.outputs(), "B({n}) faulty seed {seed}");
             }
         }

@@ -205,13 +205,13 @@ proptest! {
         let word = net.self_route_fast(&p).unwrap();
         prop_assert_eq!(word.is_success(), scalar.is_success());
         prop_assert_eq!(word.outputs(), scalar.outputs());
-        prop_assert_eq!(&word.settings(&net).unwrap(), scalar.settings());
+        prop_assert_eq!(&word.settings(), scalar.settings());
 
         let scalar_o = net.self_route_omega(&p);
         let word_o = net.self_route_omega_fast(&p).unwrap();
         prop_assert_eq!(word_o.is_success(), scalar_o.is_success());
         prop_assert_eq!(word_o.outputs(), scalar_o.outputs());
-        prop_assert_eq!(&word_o.settings(&net).unwrap(), scalar_o.settings());
+        prop_assert_eq!(&word_o.settings(), scalar_o.settings());
     }
 
     /// Same agreement over random stuck/dead fabrics: the fault overlay
@@ -224,23 +224,69 @@ proptest! {
         fault_seed in any::<u64>(),
     ) {
         use benes_core::faults::{self_route_omega_with_faults, self_route_with_faults, FaultSet};
-        use benes_core::word;
+        use benes_core::word::{self, Columns, FaultMasks};
 
         let net = Benes::new(n);
         let p = seeded_permutation(1usize << n, seed);
         let fs = FaultSet::random_stuck(n, fault_count, fault_seed);
+        let overlay = FaultMasks::new(&fs);
 
         let scalar = self_route_with_faults(&net, &p, &fs);
-        let fast = word::self_route_with_faults(&net, &p, &fs).unwrap();
+        let fast = word::route(n, &p, Columns::Tags, Some(&overlay)).unwrap();
         prop_assert_eq!(fast.is_success(), scalar.is_success());
         prop_assert_eq!(fast.outputs(), scalar.outputs());
-        prop_assert_eq!(&fast.settings(&net).unwrap(), scalar.settings());
+        prop_assert_eq!(&fast.settings(), scalar.settings());
 
         let scalar_o = self_route_omega_with_faults(&net, &p, &fs);
-        let fast_o = word::self_route_omega_with_faults(&net, &p, &fs).unwrap();
+        let fast_o = word::route(n, &p, Columns::Omega, Some(&overlay)).unwrap();
         prop_assert_eq!(fast_o.is_success(), scalar_o.is_success());
         prop_assert_eq!(fast_o.outputs(), scalar_o.outputs());
-        prop_assert_eq!(&fast_o.settings(&net).unwrap(), scalar_o.settings());
+        prop_assert_eq!(&fast_o.settings(), scalar_o.settings());
+    }
+}
+
+proptest! {
+    /// Given-mask replay of external set-ups, B(1..10): a Waksman program
+    /// replayed by the word kernel succeeds exactly when the scalar
+    /// `realized_permutation` (with the fault overlay, when faults are
+    /// registered) equals the request, both for the permutation it was set
+    /// up for and for an unrelated one; the program round-trips through
+    /// `SwitchSettings`; and the mask-form agreement check equals
+    /// `FaultSet::agrees_with`.
+    #[test]
+    fn mask_program_replay_agrees_with_scalar_replay(
+        n in 1u32..=10,
+        seed in any::<u64>(),
+        fault_count in 0usize..=3,
+        fault_seed in any::<u64>(),
+    ) {
+        use benes_core::faults::{realized_with_faults, FaultKind, FaultSet};
+        use benes_core::word::{self, Columns, FaultMasks, MaskProgram};
+
+        let net = Benes::new(n);
+        let d = seeded_permutation(1usize << n, seed);
+        let other = seeded_permutation(1usize << n, !seed);
+        let settings = waksman::setup(&d).unwrap();
+        let program = MaskProgram::from_settings(&settings);
+        prop_assert_eq!(&program.to_settings(), &settings);
+
+        let mut fs = FaultSet::random_stuck(n, fault_count.min(net.switch_count()), fault_seed);
+        if fault_seed & 1 == 1 {
+            let switch = (fault_seed >> 32) as usize % net.switches_per_stage();
+            fs.insert(n as usize - 1, switch, FaultKind::Dead).unwrap();
+        }
+        let overlay = FaultMasks::new(&fs);
+        prop_assert_eq!(program.agrees_with(&overlay), fs.agrees_with(&settings));
+
+        let realized = net.realized_permutation(&settings).unwrap();
+        let realized_faulty = realized_with_faults(&net, &settings, &fs).unwrap();
+        for target in [&d, &other] {
+            let healthy = word::route(n, target, Columns::Given(&program), None).unwrap();
+            prop_assert_eq!(healthy.is_success(), realized == *target);
+            let faulty =
+                word::route(n, target, Columns::Given(&program), Some(&overlay)).unwrap();
+            prop_assert_eq!(faulty.is_success(), realized_faulty == *target);
+        }
     }
 }
 

@@ -4,8 +4,9 @@
 //! Every request travels: [`Engine::submit`] (or one of the bounded /
 //! deadline variants) → shared queue (`crate::queue`) → worker batch
 //! drain (`crate::worker`) → deadline check → circuit-breaker
-//! admission → tier planning / cache lookup → execution on the worker's
-//! memoized `B(n)` → outcome sent to the caller's [`Ticket`]. The queue
+//! admission → zero-set-up classification by routing (self-route, then
+//! omega bit) → cache lookup / set-up planning → verified execution →
+//! outcome sent to the caller's [`Ticket`]. The queue
 //! is *sharded*: one `Mutex<VecDeque>` per worker, submissions placed
 //! by re-mixed fingerprint plus a round-robin nonce, workers draining
 //! their own shard first and **stealing** from siblings when it runs
@@ -45,7 +46,7 @@ use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::cache::PlanCache;
 use crate::chaos::{ChaosConfig, ChaosState};
 use crate::flightrec::RouteAttempt;
-use crate::plan::{Fallback, PlanError};
+use crate::plan::{required_order, zero_setup_plan, Fallback, PlanError};
 use crate::queue::{Block, SubmissionQueue};
 use crate::stats::{EngineStats, Recorder};
 use crate::worker::{cancel_job, worker_loop};
@@ -546,14 +547,18 @@ impl Engine {
         let injected = faults.len() as u64;
         let n = faults.n();
         let mut registry = self.shared.lock_faults();
-        if faults.is_empty() {
-            registry.remove(&n);
+        let healed = if faults.is_empty() {
+            registry.remove(&n).is_some()
         } else {
             registry.insert(n, Arc::new(faults));
-        }
+            false
+        };
         let degraded = !registry.is_empty();
         drop(registry);
         self.shared.degraded.store(degraded, Ordering::Release);
+        if healed {
+            self.forget_zero_setup_plans(&[n]);
+        }
         if injected > 0 {
             self.shared.recorder.note_faults_injected(injected);
         }
@@ -562,8 +567,25 @@ impl Engine {
     /// Heals the fabric: removes every registered fault, for every
     /// order.
     pub fn clear_faults(&self) {
-        self.shared.lock_faults().clear();
+        let healed: Vec<u32> = self.shared.lock_faults().drain().map(|(n, _)| n).collect();
         self.shared.degraded.store(false, Ordering::Release);
+        self.forget_zero_setup_plans(&healed);
+    }
+
+    /// Drops the cached plans of `F ∪ Ω` members of the `healed` orders.
+    /// Only the fault ladder caches one (a fault-avoiding plan); on the
+    /// healed fabric the request's zero-set-up pass serves it without a
+    /// cache lookup, so the entry could never be hit again. An avoiding
+    /// plan inserted by a request still in flight across the heal can
+    /// slip past; it only ages out of the LRU.
+    fn forget_zero_setup_plans(&self, healed: &[u32]) {
+        if healed.is_empty() {
+            return;
+        }
+        self.shared.cache.retain(|d| {
+            !required_order(d)
+                .is_ok_and(|n| healed.contains(&n) && zero_setup_plan(n, d).is_some())
+        });
     }
 
     /// The fault set currently registered for order `n`, if any.
@@ -662,6 +684,7 @@ mod tests {
     use crate::flightrec::LadderStep;
     use crate::plan::{Plan, Tier};
     use crate::worker::{capture_trace, test_hooks};
+    use benes_core::word::MaskProgram;
     use benes_core::Benes;
     use benes_perm::bpc::Bpc;
 
@@ -789,27 +812,76 @@ mod tests {
     #[test]
     fn corrupt_cached_plan_is_evicted_after_one_failed_replay() {
         // Regression: a cached plan failing replay was replanned but the
-        // corrupt entry stayed. For a self-routable permutation the
-        // fresh plan is NOT cacheable, so nothing ever overwrote the
-        // entry and every future request re-paid a failed replay.
+        // corrupt entry stayed, so every future request re-paid a failed
+        // replay. Only permutations outside F ∪ Ω consult the cache, so
+        // the corrupt plan is planted under the hard witness.
         let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
-        let rev = Bpc::bit_reversal(3).to_permutation();
+        let hard = hard_witness();
         // Plant a corrupt plan: all-straight settings realize the
-        // identity, not the bit reversal.
-        let corrupt = Plan::Settings(benes_core::SwitchSettings::all_straight(3));
-        engine.shared.cache.insert(&rev, Arc::new(corrupt));
+        // identity, not the hard witness.
+        let corrupt = Plan::Settings(MaskProgram::all_straight(3));
+        engine.shared.cache.insert(&hard, Arc::new(corrupt));
         assert_eq!(engine.cache_len(), 1);
 
-        let outcome = engine.submit(rev.clone()).wait();
-        assert_eq!(outcome.tier(), Some(Tier::SelfRoute), "replanned and served");
-        assert_eq!(engine.cache_len(), 0, "corrupt entry must be evicted");
+        let outcome = engine.submit(hard.clone()).wait();
+        assert_eq!(outcome.tier(), Some(Tier::Waksman), "replanned and served");
+        let record = engine.flight_records(1).pop().unwrap();
+        assert_eq!(
+            record.ladder,
+            vec![
+                LadderStep::CacheHit,
+                LadderStep::CacheEvicted,
+                LadderStep::Planned(Tier::Waksman),
+                LadderStep::Executed { ok: true },
+            ]
+        );
+        assert_eq!(engine.cache_len(), 1, "the fresh plan replaces the corrupt one");
 
-        // The next request is a clean miss, not another failed replay.
-        assert_eq!(engine.submit(rev).wait().tier(), Some(Tier::SelfRoute));
+        // The next request replays the fresh plan, not another failure.
+        assert_eq!(engine.submit(hard.clone()).wait().tier(), Some(Tier::Cached));
+        let record = engine.flight_records(1).pop().unwrap();
+        assert_eq!(record.ladder, vec![LadderStep::CacheHit]);
         let stats = engine.stats();
-        assert_eq!(stats.cache_hits, 1, "only the corrupt replay hit");
-        assert_eq!(stats.cache_misses, 1);
+        assert_eq!(stats.cache_hits, 2, "the corrupt replay, then the fresh one");
+        assert_eq!(stats.cache_misses, 0);
         assert_eq!(stats.failed, 0);
+
+        // On a healthy fabric the fresh plan overwrites the entry anyway;
+        // a dead switch makes the eviction itself observable: the corrupt
+        // plan fails validation, no replacement can be planned, and the
+        // entry must still be gone.
+        engine.inject_fault(3, 0, 0, FaultKind::Dead).unwrap();
+        engine
+            .shared
+            .cache
+            .insert(&hard, Arc::new(Plan::Settings(MaskProgram::all_straight(3))));
+        let outcome = engine.submit(hard.clone()).wait();
+        assert_eq!(outcome.result, Err(EngineError::Unroutable));
+        assert_eq!(engine.cache_len(), 0, "corrupt entry must be evicted");
+        assert_eq!(engine.submit(hard).wait().result, Err(EngineError::Unroutable));
+        let record = engine.flight_records(1).pop().unwrap();
+        assert_eq!(record.ladder[0], LadderStep::CacheMiss, "no second failed replay");
+    }
+
+    #[test]
+    fn zero_setup_requests_never_consult_the_cache() {
+        // F ∪ Ω requests are classified by the routing pass that serves
+        // them: no cache lookup, so the hit/miss counters stay put.
+        let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+        let rev = Bpc::bit_reversal(3).to_permutation();
+        let fig5 = p(&[1, 3, 2, 0]);
+        assert_eq!(engine.submit(rev.clone()).wait().tier(), Some(Tier::SelfRoute));
+        assert_eq!(engine.submit(fig5).wait().tier(), Some(Tier::OmegaBit));
+        assert_eq!(engine.submit(rev).wait().tier(), Some(Tier::SelfRoute));
+        let record = engine.flight_records(1).pop().unwrap();
+        assert_eq!(
+            record.ladder,
+            vec![LadderStep::Planned(Tier::SelfRoute), LadderStep::Executed { ok: true }]
+        );
+        let stats = engine.stats();
+        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.cache_misses, 0);
     }
 
     #[test]
@@ -932,10 +1004,10 @@ mod tests {
         // commands. (First-stage disagreements are always avoidable —
         // flipping the constraint loop's seeding flips the switch.)
         let healthy_plan = crate::plan::plan(&hard, Fallback::Waksman).unwrap();
-        let Plan::Settings(ref healthy_settings) = healthy_plan else {
+        let Plan::Settings(ref healthy_program) = healthy_plan else {
             panic!("hard witness must take the Waksman tier")
         };
-        let stuck = healthy_settings.get(0, 1).toggled();
+        let stuck = healthy_program.to_settings().get(0, 1).toggled();
         let kind = match stuck {
             benes_core::SwitchState::Straight => FaultKind::StuckStraight,
             benes_core::SwitchState::Cross => FaultKind::StuckCross,
@@ -959,6 +1031,48 @@ mod tests {
     }
 
     #[test]
+    fn healing_drops_the_avoiding_plan_of_a_zero_setup_member() {
+        // While faults last, a rerouted F ∪ Ω request is served from its
+        // cached avoiding plan. Once its order heals, its zero-set-up
+        // pass serves it without a cache lookup, so the heal must drop
+        // the entry instead of leaving it dead in the LRU. Find a single
+        // stuck switch that the bit reversal's self-route cannot absorb
+        // but set-up can avoid.
+        let rev = Bpc::bit_reversal(3).to_permutation();
+        let net = Benes::new(3);
+        let sites = (0..net.stage_count()).flat_map(|stage| {
+            (0..net.switches_per_stage()).flat_map(move |switch| {
+                [FaultKind::StuckStraight, FaultKind::StuckCross]
+                    .map(|kind| (stage, switch, kind))
+            })
+        });
+        for (stage, switch, kind) in sites {
+            let engine =
+                Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+            engine.inject_fault(3, stage, switch, kind).unwrap();
+            let first = engine.submit(rev.clone()).wait();
+            if engine.stats().reroutes_succeeded == 0 {
+                continue;
+            }
+            assert_eq!(first.tier(), Some(Tier::Waksman), "{:?}", first.result);
+            assert_eq!(engine.submit(rev.clone()).wait().tier(), Some(Tier::Cached));
+            assert_eq!(engine.cache_len(), 1);
+            engine.clear_faults();
+            assert_eq!(engine.cache_len(), 0, "dead entry kept after clear_faults");
+            assert_eq!(engine.submit(rev.clone()).wait().tier(), Some(Tier::SelfRoute));
+
+            // Same through the per-order heal.
+            engine.inject_fault(3, stage, switch, kind).unwrap();
+            assert!(engine.submit(rev.clone()).wait().is_ok());
+            assert_eq!(engine.cache_len(), 1);
+            engine.set_faults(FaultSet::new(3));
+            assert_eq!(engine.cache_len(), 0, "dead entry kept after set_faults");
+            return;
+        }
+        panic!("no single stuck switch forces a reroute of the bit reversal");
+    }
+
+    #[test]
     fn cached_plan_validates_statically_under_agreeing_fault() {
         // The cache-hit path must decide fault validity by the O(k)
         // agreement check, not by replaying the plan: an agreeing stuck
@@ -969,10 +1083,10 @@ mod tests {
         assert_eq!(engine.submit(hard.clone()).wait().tier(), Some(Tier::Waksman));
 
         let cached_plan = crate::plan::plan(&hard, Fallback::Waksman).unwrap();
-        let Plan::Settings(ref settings) = cached_plan else {
+        let Plan::Settings(ref program) = cached_plan else {
             panic!("hard witness must take the Waksman tier")
         };
-        let commanded = settings.get(0, 1);
+        let commanded = program.to_settings().get(0, 1);
         let agreeing = match commanded {
             benes_core::SwitchState::Straight => FaultKind::StuckStraight,
             benes_core::SwitchState::Cross => FaultKind::StuckCross,

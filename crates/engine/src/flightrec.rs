@@ -102,9 +102,11 @@ impl std::fmt::Display for LadderStep {
 pub struct PhaseNanos {
     /// Cache lookup plus (for hits) validation or replay.
     pub cache: u64,
-    /// Fresh tier planning.
+    /// Fresh tier planning: zero-set-up routing passes that failed to
+    /// classify the request, plus set-up.
     pub plan: u64,
-    /// Executing and verifying the fresh plan.
+    /// Executing and verifying the fresh plan (on a healthy fabric, for
+    /// a zero-set-up request, the classifying pass that served it).
     pub execute: u64,
     /// The whole fault-reroute ladder, when it ran.
     pub reroute: u64,

@@ -9,13 +9,13 @@
 //! request and never pay set-up twice for a repeated permutation. This
 //! crate is that serving layer:
 //!
-//! * [`plan`] — the **tiered planner**: classify each request and pick
-//!   the cheapest realization (cached → self-route → omega-bit →
-//!   factored/Waksman), plus the executor that carries a plan out and
-//!   verifies the realized routing;
+//! * [`plan`] — the **tiered planner**: classify each request by routing
+//!   it and pick the cheapest realization (self-route → omega-bit →
+//!   cached → factored/Waksman), plus the one word-kernel executor that
+//!   carries a plan out and verifies the realized routing;
 //! * [`cache`] — the **plan cache**: a sharded LRU keyed by the stable
-//!   64-bit permutation fingerprint, so repeated permutations replay
-//!   cached [`benes_core::SwitchSettings`] with zero set-up;
+//!   64-bit permutation fingerprint, so repeated permutations replay a
+//!   cached set-up ([`benes_core::word::MaskProgram`]) with zero set-up;
 //! * [`engine`] — the **batched worker pool**: `k` `std::thread`
 //!   workers drain a submission queue in configurable batches and
 //!   return per-request outcomes over `mpsc` channels — with a shared

@@ -3,12 +3,22 @@
 //!
 //! The paper's economics (§I) are a ladder of set-up costs:
 //!
-//! | tier | applies to | set-up cost |
-//! |---|---|---|
-//! | self-route | `F(n)` (Theorem 1) | **zero** — tags set the switches |
-//! | omega-bit | `Ω(n)` (§II) | **zero** — one control wire asserted |
-//! | factored | any `D` | one `O(N log N)` factorization, then two zero-set-up passes |
-//! | Waksman | any `D` | one `O(N log N)` looping set-up |
+//! | tier | applies to | set-up cost | executed as |
+//! |---|---|---|---|
+//! | self-route | `F(n)` (Theorem 1) | **zero** — tags set the switches | one word pass, tag columns |
+//! | omega-bit | `Ω(n)` (§II) | **zero** — one control wire asserted | one word pass, omega columns |
+//! | factored | any `D` | one `O(N log N)` factorization, then two zero-set-up passes | two word passes |
+//! | Waksman | any `D` | one `O(N log N)` looping set-up | one word pass, given columns |
+//!
+//! Classification *is* routing: by Theorem 1, `D ∈ F(n)` exactly when its
+//! destination tags route it with no set-up, so the planner tries the
+//! word-parallel self-route and then the omega-bit route
+//! ([`benes_core::word`]) and keeps the first that delivers every tag. On
+//! a healthy fabric that successful pass is already the verified
+//! execution. Only permutations outside `F(n) ∪ Ω(n)` reach the
+//! expensive tiers, whose set-up is stored as a
+//! [`MaskProgram`] — `2n − 1` column masks — and replayed by the same
+//! word kernel with given columns.
 //!
 //! A serving system should therefore *plan* per request: try the cheap
 //! tiers first, fall back to an expensive one, and cache what the
@@ -19,8 +29,8 @@
 use std::fmt;
 
 use benes_core::waksman::{self, SetupError};
-use benes_core::{class_f, factor, Benes, SwitchSettings};
-use benes_perm::omega::is_omega;
+use benes_core::word::{self, Columns, FaultMasks, MaskProgram};
+use benes_core::{factor, Benes};
 use benes_perm::Permutation;
 
 /// The realization tier a request was served by.
@@ -85,8 +95,9 @@ pub enum Plan {
     SelfRoute,
     /// Route by destination tags with the omega bit asserted.
     OmegaBit,
-    /// Replay an externally computed switch assignment.
-    Settings(SwitchSettings),
+    /// Replay an externally computed switch assignment, stored as the
+    /// word kernel's column-mask program.
+    Settings(MaskProgram),
     /// Two self-routing passes: `first ∈ Ω⁻¹(n) ⊆ F(n)` (plain
     /// self-route), then `second ∈ Ω(n)` (omega bit). Composition
     /// equals the planned permutation.
@@ -178,8 +189,9 @@ pub fn required_order(d: &Permutation) -> Result<u32, PlanError> {
 }
 
 /// Classifies `d` and computes the cheapest plan, walking the tier
-/// ladder: self-route if `d ∈ F(n)`, omega-bit if `d ∈ Ω(n)`, else the
-/// configured fallback.
+/// ladder: self-route if the tags route `d` (`d ∈ F(n)`), omega-bit if
+/// they do with the omega bit asserted (`d ∈ Ω(n)`), else the configured
+/// fallback.
 ///
 /// # Errors
 ///
@@ -197,15 +209,30 @@ pub fn required_order(d: &Permutation) -> Result<u32, PlanError> {
 /// assert_eq!(plan(&d, Fallback::Waksman).unwrap().tier(), Tier::OmegaBit);
 /// ```
 pub fn plan(d: &Permutation, fallback: Fallback) -> Result<Plan, PlanError> {
-    required_order(d)?;
-    if class_f::is_in_f(d) {
-        return Ok(Plan::SelfRoute);
+    let n = required_order(d)?;
+    match zero_setup_plan(n, d) {
+        Some(plan) => Ok(plan),
+        None => fallback_plan(d, fallback),
     }
-    if is_omega(d) {
-        return Ok(Plan::OmegaBit);
-    }
+}
+
+/// The zero-set-up plan that realizes `d` on a healthy `B(n)`, if any.
+/// Each tier is tried by running it — at most two word passes — so a
+/// `Some` is also a verified healthy execution.
+pub(crate) fn zero_setup_plan(n: u32, d: &Permutation) -> Option<Plan> {
+    [Plan::SelfRoute, Plan::OmegaBit].into_iter().find(|p| run(n, d, p, None))
+}
+
+/// The set-up plan for `d` under `fallback`, for a `d` already known to be
+/// outside `F(n) ∪ Ω(n)` (any `d` is served correctly, just not cheapest).
+pub(crate) fn fallback_plan(
+    d: &Permutation,
+    fallback: Fallback,
+) -> Result<Plan, PlanError> {
     match fallback {
-        Fallback::Waksman => Ok(Plan::Settings(waksman::setup(d)?)),
+        Fallback::Waksman => {
+            Ok(Plan::Settings(MaskProgram::from_settings(&waksman::setup(d)?)))
+        }
         Fallback::Factored => {
             let (first, second) = factor::factor_inverse_omega_omega(d)?;
             Ok(Plan::TwoPass { first, second })
@@ -218,11 +245,12 @@ pub fn plan(d: &Permutation, fallback: Fallback) -> Result<Plan, PlanError> {
 /// for a *different* permutation) surface as `false`, never as silent
 /// misrouting.
 ///
-/// The self-routing arms run on the word-parallel kernels
-/// ([`benes_core::word`]) — whole switch columns as `u64` masks — which
-/// the exhaustive/property tests in `benes_core` pin to the scalar
-/// oracle. Settings replay stays on the scalar circuit walk (it has to
-/// realize an explicit per-switch assignment, not a tag rule).
+/// Every plan runs on the word-parallel kernel ([`benes_core::word`]) —
+/// whole switch columns as `u64` masks — which the exhaustive/property
+/// tests in `benes_core` and `benes-analyze`'s symbolic proof pin to the
+/// scalar oracle: tag columns for self-route, omega columns for the
+/// omega bit, given columns for a settings replay, and one of each for
+/// the two-pass plan.
 ///
 /// # Panics
 ///
@@ -231,23 +259,31 @@ pub fn plan(d: &Permutation, fallback: Fallback) -> Result<Plan, PlanError> {
 #[must_use]
 pub fn execute(net: &Benes, d: &Permutation, plan: &Plan) -> bool {
     assert_eq!(d.len(), net.terminal_count(), "execute: network order mismatch");
+    run(net.n(), d, plan, None)
+}
+
+/// The one executor: runs `plan` for `d` on `B(n)` as the fabric is —
+/// healthy when `faults` is `None`, otherwise with every faulty switch
+/// overriding its commanded state — and verifies the realized routing.
+pub(crate) fn run(
+    n: u32,
+    d: &Permutation,
+    plan: &Plan,
+    faults: Option<&FaultMasks>,
+) -> bool {
+    let pass = |p: &Permutation, columns| {
+        word::route(n, p, columns, faults).is_ok_and(|o| o.is_success())
+    };
     match plan {
-        Plan::SelfRoute => net.self_route_fast(d).map(|o| o.is_success()).unwrap_or(false),
-        Plan::OmegaBit => {
-            net.self_route_omega_fast(d).map(|o| o.is_success()).unwrap_or(false)
-        }
-        Plan::Settings(settings) => {
-            net.realized_permutation(settings).map(|r| r == *d).unwrap_or(false)
-        }
+        Plan::SelfRoute => pass(d, Columns::Tags),
+        Plan::OmegaBit => pass(d, Columns::Omega),
+        Plan::Settings(program) => pass(d, Columns::Given(program)),
+        // The factorization theorem guarantees first ∈ Ω⁻¹ ⊆ F and
+        // second ∈ Ω, so both passes self-route with zero set-up.
         Plan::TwoPass { first, second } => {
-            // The factorization theorem guarantees first ∈ Ω⁻¹ ⊆ F and
-            // second ∈ Ω, so both passes self-route with zero set-up.
             first.then(second) == *d
-                && net.self_route_fast(first).map(|o| o.is_success()).unwrap_or(false)
-                && net
-                    .self_route_omega_fast(second)
-                    .map(|o| o.is_success())
-                    .unwrap_or(false)
+                && pass(first, Columns::Tags)
+                && pass(second, Columns::Omega)
         }
     }
 }
@@ -255,7 +291,9 @@ pub fn execute(net: &Benes, d: &Permutation, plan: &Plan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use benes_core::class_f;
     use benes_perm::bpc::Bpc;
+    use benes_perm::omega::is_omega;
 
     fn p(v: &[u32]) -> Permutation {
         Permutation::from_destinations(v.to_vec()).unwrap()

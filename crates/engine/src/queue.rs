@@ -202,6 +202,9 @@ pub(crate) enum Block {
 /// One queued routing request.
 pub(crate) struct Job {
     pub(crate) perm: Permutation,
+    /// `perm.fingerprint()`, computed once at admission and reused for
+    /// placement, the flight record and every plan-cache call.
+    pub(crate) fingerprint: u64,
     pub(crate) submitted_at: Instant,
     /// Shed (never execute) if a worker dequeues the job after this.
     pub(crate) deadline: Option<Instant>,
@@ -397,8 +400,9 @@ impl SubmissionQueue {
         // the mixer keeps hot identical permutations off one mutex.
         // analyze:allow(relaxed-control): the nonce only spreads load — every shard is a correct destination, so a stale or reordered read costs uniformity, never conservation (which rides on the SeqCst `depth` counter)
         let nonce = self.rr.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards
-            [(mix64(perm.fingerprint() ^ nonce) % self.shards.len() as u64) as usize];
+        let fingerprint = perm.fingerprint();
+        let shard =
+            &self.shards[(mix64(fingerprint ^ nonce) % self.shards.len() as u64) as usize];
         let (tx, rx) = mpsc::channel();
         {
             let mut q = shard.lock();
@@ -414,6 +418,7 @@ impl SubmissionQueue {
             recorder.note_submitted(tenant);
             q.push_back(Job {
                 perm,
+                fingerprint,
                 submitted_at: Instant::now(),
                 deadline,
                 tenant,

@@ -413,7 +413,7 @@ pub struct EngineStats {
     /// failed execution (the fault registry changed mid-flight).
     pub fault_retries: u64,
     /// Cached plans validated against the fault registry by the static
-    /// agreement check (`FaultSet::agrees_with`) instead of a replay.
+    /// agreement check (`MaskProgram::agrees_with`) instead of a replay.
     pub static_validated: u64,
     /// Admitted requests shed without execution (deadline expiry plus
     /// open-breaker sheds). A terminal state, disjoint from

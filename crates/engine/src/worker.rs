@@ -8,35 +8,35 @@
 //! leftovers to [`cancel_job`]. The queue transitions themselves live
 //! in [`crate::queue`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use benes_core::faults::{realized_with_faults, setup_avoiding, FaultSet, FaultSetupError};
+use benes_core::faults::{setup_avoiding, FaultSet, FaultSetupError};
 use benes_core::trace::RouteTrace;
-use benes_core::{word, Benes};
+use benes_core::word::{FaultMasks, MaskProgram};
+use benes_core::Benes;
 use benes_perm::Permutation;
 
 use crate::breaker::Admission;
 use crate::engine::{EngineError, Shared};
 use crate::flightrec::{LadderStep, RouteAttempt};
-use crate::plan::{execute, plan, required_order, Plan, PlanError, Tier};
+use crate::plan::{
+    fallback_plan, plan, required_order, run, zero_setup_plan, Plan, PlanError, Tier,
+};
 use crate::queue::{Job, RequestOutcome};
 use crate::stats::{LatencyPath, TenantTerminal};
 
 pub(crate) fn worker_loop(shared: &Shared, worker: usize) {
-    // Per-worker network memo: `B(n)` is immutable wiring, cheap to keep
-    // one copy per worker and never lock for it. `worker` names this
-    // thread's home shard in the submission queue; it drains that shard
-    // first and steals from siblings when it runs dry.
-    let mut nets: HashMap<u32, Benes> = HashMap::new();
+    // `worker` names this thread's home shard in the submission queue;
+    // it drains that shard first and steals from siblings when it runs
+    // dry.
     while let Some(batch) =
         shared.sub.next_batch(&shared.recorder, shared.batch_size, worker)
     {
         for job in batch {
             #[cfg(test)]
-            test_hooks::maybe_kill_worker(&job.perm);
-            serve_job(shared, &mut nets, job);
+            test_hooks::maybe_kill_worker(job.fingerprint);
+            serve_job(shared, job);
         }
     }
 }
@@ -44,9 +44,9 @@ pub(crate) fn worker_loop(shared: &Shared, worker: usize) {
 /// Runs one dequeued job through the full lifecycle: deadline check,
 /// chaos roll, breaker admission, contained execution, breaker
 /// feedback, terminal accounting.
-fn serve_job(shared: &Shared, nets: &mut HashMap<u32, Benes>, job: Job) {
+fn serve_job(shared: &Shared, job: Job) {
     let dequeued_at = Instant::now();
-    let mut attempt = RouteAttempt::new(job.perm.fingerprint(), job.perm.len());
+    let mut attempt = RouteAttempt::new(job.fingerprint, job.perm.len());
     attempt.tenant = job.tenant;
 
     // Deadline shed happens before any planning or execution: an
@@ -125,12 +125,11 @@ fn serve_job(shared: &Shared, nets: &mut HashMap<u32, Benes>, job: Job) {
         // Contain per-job panics: without this, one panicking job
         // kills the worker with the rest of its drained batch
         // un-replied, and the queued tickets behind it can block
-        // forever. `nets` only memoizes immutable topologies, so
-        // observing it after an unwind is sound. The flight record
-        // is built *outside* the unwind boundary so a panic still
-        // leaves its partial ladder in the ring.
+        // forever. The flight record is built *outside* the unwind
+        // boundary so a panic still leaves its partial ladder in the
+        // ring.
         let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_one(shared, nets, &job.perm, &mut attempt)
+            serve_one(shared, job.fingerprint, &job.perm, &mut attempt)
         }));
         served.unwrap_or_else(|_| {
             attempt.step(LadderStep::Panicked);
@@ -236,7 +235,7 @@ fn finish_job(
 /// Cancels one never-served job (drain shedding or a post-join sweep):
 /// its ticket resolves with [`EngineError::Canceled`].
 pub(crate) fn cancel_job(shared: &Shared, job: Job) {
-    let mut attempt = RouteAttempt::new(job.perm.fingerprint(), job.perm.len());
+    let mut attempt = RouteAttempt::new(job.fingerprint, job.perm.len());
     attempt.tenant = job.tenant;
     attempt.step(LadderStep::Canceled);
     finish_job(shared, job, None, attempt, Err(EngineError::Canceled));
@@ -246,38 +245,6 @@ pub(crate) fn cancel_job(shared: &Shared, job: Job) {
 /// plan itself failed execution (only possible when the fault registry
 /// changed between planning and execution).
 const MAX_FAULT_RETRIES: usize = 3;
-
-/// Executes `plan` on the fabric as it currently is: healthy when
-/// `faults` is `None`, otherwise with every faulty switch overriding its
-/// commanded state. Either way the realized routing is verified against
-/// `d`.
-fn execute_on_fabric(
-    net: &Benes,
-    d: &Permutation,
-    plan: &Plan,
-    faults: Option<&FaultSet>,
-) -> bool {
-    let Some(faults) = faults.filter(|f| !f.is_empty()) else {
-        return execute(net, d, plan);
-    };
-    // Degraded-path execution rides the same word-parallel kernels as
-    // the healthy path (`benes_core::word`), with the stuck/dead
-    // switches overlaid as per-stage masks.
-    let word_ok =
-        |r: Result<word::WordOutcome, _>| r.map(|o| o.is_success()).unwrap_or(false);
-    match plan {
-        Plan::SelfRoute => word_ok(word::self_route_with_faults(net, d, faults)),
-        Plan::OmegaBit => word_ok(word::self_route_omega_with_faults(net, d, faults)),
-        Plan::Settings(settings) => {
-            realized_with_faults(net, settings, faults).map(|r| r == *d).unwrap_or(false)
-        }
-        Plan::TwoPass { first, second } => {
-            first.then(second) == *d
-                && word_ok(word::self_route_with_faults(net, first, faults))
-                && word_ok(word::self_route_omega_with_faults(net, second, faults))
-        }
-    }
-}
 
 /// `start.elapsed()` as saturating nanoseconds.
 fn elapsed_ns(start: Instant) -> u64 {
@@ -304,9 +271,11 @@ pub(crate) fn capture_trace(
         }
         (Plan::OmegaBit, None) => RouteTrace::capture_omega(net, d).ok(),
         (Plan::OmegaBit, Some(f)) => RouteTrace::capture_omega_with_faults(net, d, f).ok(),
-        (Plan::Settings(s), None) => RouteTrace::capture_external(net, d, s).ok(),
-        (Plan::Settings(s), Some(f)) => {
-            RouteTrace::capture_external_with_faults(net, d, s, f).ok()
+        (Plan::Settings(p), None) => {
+            RouteTrace::capture_external(net, d, &p.to_settings()).ok()
+        }
+        (Plan::Settings(p), Some(f)) => {
+            RouteTrace::capture_external_with_faults(net, d, &p.to_settings(), f).ok()
         }
         (Plan::TwoPass { first, second }, f) => {
             let pass1 = match f {
@@ -326,28 +295,49 @@ pub(crate) fn capture_trace(
     }
 }
 
-/// Serves one request: cache lookup, then tier planning, execution, and
-/// cache fill — and, when execution fails with faults registered, the
-/// fault-tolerance ladder: detect → evict → re-plan around the faults →
-/// bounded retry. Every path verifies the realized routing. Each
+/// Serves one request and verifies the realized routing on every path.
+///
+/// On a healthy fabric the ladder starts with the zero-set-up tiers: the
+/// word self-route, then the omega-bit route. By Theorem 1 the pass that
+/// succeeds *is* the verified execution, so an `F(n) ∪ Ω(n)` request
+/// never touches the plan cache. Everything else — and every request
+/// while faults are registered — goes cache lookup, then tier planning,
+/// execution with the fault overlay, and cache fill; an execution that
+/// fails with faults registered enters the fault-tolerance ladder:
+/// detect → evict → re-plan around the faults → bounded retry. Each
 /// decision is mirrored into `attempt`, the request's flight record.
 fn serve_one(
     shared: &Shared,
-    nets: &mut HashMap<u32, Benes>,
+    fingerprint: u64,
     perm: &Permutation,
     attempt: &mut RouteAttempt,
 ) -> Result<Tier, EngineError> {
     #[cfg(test)]
-    test_hooks::maybe_panic(perm);
+    test_hooks::maybe_panic(fingerprint);
     #[cfg(test)]
-    test_hooks::maybe_hold(perm);
+    test_hooks::maybe_hold(fingerprint);
 
     let n = required_order(perm)?;
-    let net = nets.entry(n).or_insert_with(|| Benes::new(n));
     let faults = shared.fault_set(n);
+    let overlay = faults.as_deref().map(FaultMasks::new);
+
+    if overlay.is_none() {
+        let classify_started = Instant::now();
+        let zero_setup = zero_setup_plan(n, perm);
+        let classify_ns = elapsed_ns(classify_started);
+        if let Some(zero_setup) = zero_setup {
+            let tier = zero_setup.tier();
+            attempt.phases.execute = classify_ns;
+            attempt.step(LadderStep::Planned(tier));
+            attempt.step(LadderStep::Executed { ok: true });
+            shared.recorder.note_tier(tier);
+            return Ok(tier);
+        }
+        attempt.phases.plan = classify_ns;
+    }
 
     let cache_started = Instant::now();
-    match shared.cache.get(perm) {
+    match shared.cache.get_keyed(fingerprint, perm) {
         Some(cached) => {
             shared.recorder.note_cache(true);
             attempt.step(LadderStep::CacheHit);
@@ -356,19 +346,19 @@ fn serve_one(
             // realizes `perm` on a healthy fabric, so if every stuck
             // switch agrees with its commanded state the fault overlay
             // is a no-op and the plan realizes `perm` on the degraded
-            // fabric too — an O(|faults|) check in place of a full
-            // replay. Disagreement (a dead switch never agrees) means
-            // the plan is stale for this fabric: evict and re-plan.
-            let valid = match (&*cached, faults.as_deref().filter(|f| !f.is_empty())) {
-                (Plan::Settings(settings), Some(f)) => {
-                    let agrees = f.agrees_with(settings);
+            // fabric too — one mask test per stage in place of a replay.
+            // Disagreement (a dead switch never agrees) means the plan is
+            // stale for this fabric: evict and re-plan.
+            let valid = match (&*cached, &overlay) {
+                (Plan::Settings(program), Some(masks)) => {
+                    let agrees = program.agrees_with(masks);
                     if agrees {
                         shared.recorder.note_static_validation();
                         attempt.step(LadderStep::StaticValidated);
                     }
                     agrees
                 }
-                (_, overlay) => execute_on_fabric(net, perm, &cached, overlay),
+                (_, overlay) => run(n, perm, &cached, overlay.as_ref()),
             };
             if valid {
                 shared.recorder.note_tier(Tier::Cached);
@@ -379,7 +369,7 @@ fn serve_one(
             // failing validation means a corrupted plan (or one planned
             // for a fabric that has since degraded). Evict it: leaving
             // it in place makes every future request re-pay the failure.
-            shared.cache.invalidate(perm);
+            shared.cache.invalidate(fingerprint, perm);
             attempt.step(LadderStep::CacheEvicted);
         }
         None => {
@@ -390,17 +380,21 @@ fn serve_one(
     attempt.phases.cache = elapsed_ns(cache_started);
 
     let plan_started = Instant::now();
-    let fresh = plan(perm, shared.fallback)?;
-    attempt.phases.plan = elapsed_ns(plan_started);
+    // On a healthy fabric the zero-set-up tiers were just ruled out.
+    let fresh = match overlay {
+        None => fallback_plan(perm, shared.fallback)?,
+        Some(_) => plan(perm, shared.fallback)?,
+    };
+    attempt.phases.plan += elapsed_ns(plan_started);
     let tier = fresh.tier();
     attempt.step(LadderStep::Planned(tier));
     let execute_started = Instant::now();
-    let executed = execute_on_fabric(net, perm, &fresh, faults.as_deref());
+    let executed = run(n, perm, &fresh, overlay.as_ref());
     attempt.phases.execute = elapsed_ns(execute_started);
     attempt.step(LadderStep::Executed { ok: executed });
     if executed {
         if fresh.is_cacheable() {
-            shared.cache.insert(perm, Arc::new(fresh));
+            shared.cache.insert_keyed(fingerprint, perm, Arc::new(fresh));
         }
         shared.recorder.note_tier(tier);
         return Ok(tier);
@@ -410,7 +404,7 @@ fn serve_one(
     // failing plan over the exact fabric the worker executed on, so the
     // flight record can show *where* the routing went wrong, stage by
     // stage.
-    attempt.trace = capture_trace(net, perm, &fresh, faults.as_deref());
+    attempt.trace = capture_trace(&Benes::new(n), perm, &fresh, faults.as_deref());
 
     // On a healthy fabric a failed execution is an engine bug — report
     // it as before. With faults registered it is the expected signature
@@ -421,7 +415,7 @@ fn serve_one(
     shared.recorder.note_fault_detected();
     attempt.step(LadderStep::FaultDetected);
     let reroute_started = Instant::now();
-    let rerouted = fault_ladder(shared, net, perm, &fresh, tier, attempt);
+    let rerouted = fault_ladder(shared, n, fingerprint, perm, &fresh, tier, attempt);
     attempt.phases.reroute = elapsed_ns(reroute_started);
     rerouted
 }
@@ -430,13 +424,13 @@ fn serve_one(
 /// the current faults, verify, retry on registry churn.
 fn fault_ladder(
     shared: &Shared,
-    net: &Benes,
+    n: u32,
+    fingerprint: u64,
     perm: &Permutation,
     fresh: &Plan,
     tier: Tier,
     attempt: &mut RouteAttempt,
 ) -> Result<Tier, EngineError> {
-    let n = net.n();
     for _retry in 0..=MAX_FAULT_RETRIES {
         // Re-read the registry every attempt: concurrent injection or
         // healing changes what must be avoided.
@@ -445,11 +439,15 @@ fn fault_ladder(
             None => {
                 // Healed mid-flight: the fresh plan is valid again.
                 attempt.step(LadderStep::Healed);
-                let healed = execute_on_fabric(net, perm, fresh, None);
+                let healed = run(n, perm, fresh, None);
                 attempt.step(LadderStep::Executed { ok: healed });
                 if healed {
                     if fresh.is_cacheable() {
-                        shared.cache.insert(perm, Arc::new(fresh.clone()));
+                        shared.cache.insert_keyed(
+                            fingerprint,
+                            perm,
+                            Arc::new(fresh.clone()),
+                        );
                     }
                     shared.recorder.note_reroute(true);
                     shared.recorder.note_tier(tier);
@@ -461,15 +459,17 @@ fn fault_ladder(
         };
         match setup_avoiding(perm, &current) {
             Ok(settings) => {
-                let avoiding = Plan::Settings(settings);
-                let ok = execute_on_fabric(net, perm, &avoiding, Some(&current));
+                let avoiding = Plan::Settings(MaskProgram::from_settings(&settings));
+                let ok = run(n, perm, &avoiding, Some(&FaultMasks::new(&current)));
                 attempt.step(LadderStep::Replanned { ok });
                 if ok {
                     // The avoiding settings agree with every stuck
                     // switch, so the overlay is a no-op on them: they
                     // realize `perm` on the faulty fabric *and* after a
-                    // repair — safe to cache.
-                    shared.cache.insert(perm, Arc::new(avoiding));
+                    // repair — safe to cache. (An `F ∪ Ω` member's entry
+                    // is dropped when its order heals; see
+                    // `Engine::forget_zero_setup_plans`.)
+                    shared.cache.insert_keyed(fingerprint, perm, Arc::new(avoiding));
                     shared.recorder.note_reroute(true);
                     shared.recorder.note_tier(Tier::Waksman);
                     return Ok(Tier::Waksman);
@@ -506,8 +506,6 @@ pub(crate) mod test_hooks {
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    use benes_perm::Permutation;
-
     /// Serializes tests arming [`KILL_WORKER_ON_FINGERPRINT`]: the
     /// statics are process-wide, so concurrent arming would disarm a
     /// sibling test's bomb mid-flight.
@@ -522,9 +520,9 @@ pub(crate) mod test_hooks {
     /// to detonate a job inside a worker.
     pub(crate) static PANIC_ON_FINGERPRINT: AtomicU64 = AtomicU64::new(0);
 
-    pub(crate) fn maybe_panic(perm: &Permutation) {
+    pub(crate) fn maybe_panic(fingerprint: u64) {
         let armed = PANIC_ON_FINGERPRINT.load(Ordering::Relaxed);
-        if armed != 0 && perm.fingerprint() == armed {
+        if armed != 0 && fingerprint == armed {
             panic!("test hook: detonating job for fingerprint {armed:#x}");
         }
     }
@@ -535,9 +533,9 @@ pub(crate) mod test_hooks {
     /// to serve them.
     pub(crate) static KILL_WORKER_ON_FINGERPRINT: AtomicU64 = AtomicU64::new(0);
 
-    pub(crate) fn maybe_kill_worker(perm: &Permutation) {
+    pub(crate) fn maybe_kill_worker(fingerprint: u64) {
         let armed = KILL_WORKER_ON_FINGERPRINT.load(Ordering::Relaxed);
-        if armed != 0 && perm.fingerprint() == armed {
+        if armed != 0 && fingerprint == armed {
             panic!("test hook: killing worker on fingerprint {armed:#x}");
         }
     }
@@ -553,9 +551,9 @@ pub(crate) mod test_hooks {
     /// Flips to release every worker trapped in [`maybe_hold`].
     pub(crate) static RELEASE: AtomicBool = AtomicBool::new(false);
 
-    pub(crate) fn maybe_hold(perm: &Permutation) {
+    pub(crate) fn maybe_hold(fingerprint: u64) {
         let armed = HOLD_ON_FINGERPRINT.load(Ordering::SeqCst);
-        if armed != 0 && perm.fingerprint() == armed {
+        if armed != 0 && fingerprint == armed {
             ENGAGED.fetch_add(1, Ordering::SeqCst);
             while !RELEASE.load(Ordering::SeqCst) {
                 std::thread::yield_now();

@@ -7,6 +7,7 @@
 //! dependency (the build environment is offline; a splitmix64 generator
 //! is all that is needed).
 
+use benes_core::word::{self, Columns, MaskProgram};
 use benes_core::{Benes, SwitchSettings, SwitchState};
 use benes_perm::bpc::Bpc;
 use benes_perm::Permutation;
@@ -66,7 +67,8 @@ pub fn random_permutation(rng: &mut Rng64, len: usize) -> Permutation {
 /// A random permutation guaranteed to sit **outside** `F(n) ∪ Ω(n)`,
 /// i.e. one that forces the engine's expensive fallback tier.
 ///
-/// Rejection-samples random permutations; at `n = 3` already ~61% of
+/// Rejection-samples random permutations, classifying each by routing it
+/// (the planner's own zero-set-up test); at `n = 3` already ~61% of
 /// `N!` is outside both classes (census: `|F(3)| = 11632`,
 /// `|Ω(3)| = 4096` of `40320`), and the fraction grows towards 1
 /// rapidly, so this terminates almost immediately.
@@ -82,7 +84,7 @@ pub fn hard_permutation(rng: &mut Rng64, n: u32) -> Permutation {
     let len = 1usize << n;
     loop {
         let d = random_permutation(rng, len);
-        if !benes_core::is_in_f(&d) && !benes_perm::omega::is_omega(&d) {
+        if crate::plan::zero_setup_plan(n, &d).is_none() {
             return d;
         }
     }
@@ -106,7 +108,17 @@ pub fn omega_member(rng: &mut Rng64, n: u32) -> Permutation {
             }
         }
     }
-    net.realized_permutation(&settings).expect("settings built for this order")
+    // Route identity tags through the settings: `arrived[o]` is the input
+    // that surfaced at output `o`, so the realized permutation is its
+    // inverse.
+    let identity = Permutation::identity(net.terminal_count());
+    let program = MaskProgram::from_settings(&settings);
+    let arrived = word::route(n, &identity, Columns::Given(&program), None)
+        .expect("program built for this order")
+        .outputs();
+    Permutation::from_destinations(arrived)
+        .expect("any switch assignment permutes")
+        .inverse()
 }
 
 /// The named `BPC(n)` permutations of the paper's Table I (all of which

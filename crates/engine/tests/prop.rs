@@ -73,9 +73,9 @@ proptest! {
         prop_assert!(execute(&net, &d, &replayed));
         // ...and when it carries settings, those settings must realize
         // the very same mapping as a from-scratch set-up.
-        if let Plan::Settings(settings) = replayed.as_ref() {
+        if let Plan::Settings(program) = replayed.as_ref() {
             let fresh_settings = waksman::setup(&d).unwrap();
-            let a = net.realized_permutation(settings).unwrap();
+            let a = net.realized_permutation(&program.to_settings()).unwrap();
             let b = net.realized_permutation(&fresh_settings).unwrap();
             prop_assert_eq!(&a, &b);
             prop_assert_eq!(&a, &d);

@@ -77,8 +77,8 @@ impl UnitTicket {
                 UnitReply { result: outcome.result, latency: outcome.latency }
             }
             TicketInner::Remote(rx) => rx.recv().unwrap_or(UnitReply {
-                // The I/O thread died without replying (it accounts the
-                // unit as canceled on its own side before exiting).
+                // The I/O thread exited without replying (the unit's
+                // dropped reply channel booked it canceled).
                 result: Err(EngineError::Canceled),
                 latency: Duration::ZERO,
             }),

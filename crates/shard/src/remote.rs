@@ -146,9 +146,37 @@ impl Shared {
     }
 }
 
+/// A unit's reply channel. [`UnitTx::send`] books the reply in the
+/// ledger; a unit dropped unanswered (still queued when the I/O thread
+/// exits after a drain, or refused because it already has) is booked as
+/// canceled, and its ticket resolves `Canceled` through the disconnect.
+/// Either way every submitted unit reaches exactly one terminal state.
+struct UnitTx {
+    tx: Option<mpsc::Sender<UnitReply>>,
+    shared: Arc<Shared>,
+}
+
+impl UnitTx {
+    fn send(mut self, reply: UnitReply) {
+        self.shared.account(&reply.result);
+        if let Some(tx) = self.tx.take() {
+            // analyze:allow(discarded-result): the caller may have dropped its ticket
+            let _ = tx.send(reply);
+        }
+    }
+}
+
+impl Drop for UnitTx {
+    fn drop(&mut self) {
+        if self.tx.is_some() {
+            Shared::bump(&self.shared.canceled);
+        }
+    }
+}
+
 /// A job for the I/O thread.
 enum Job {
-    Unit { perm: Permutation, deadline: Option<Instant>, tx: mpsc::Sender<UnitReply> },
+    Unit { perm: Permutation, deadline: Option<Instant>, tx: UnitTx },
     Drain { deadline: Instant, tx: mpsc::Sender<BackendDrain> },
 }
 
@@ -196,14 +224,12 @@ impl Backend for RemoteShard {
     fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket {
         Shared::bump(&self.shared.submitted);
         let (tx, rx) = mpsc::channel();
+        let tx = UnitTx { tx: Some(tx), shared: Arc::clone(&self.shared) };
         match self.jobs.send(Job::Unit { perm, deadline, tx }) {
             Ok(()) => UnitTicket::remote(rx),
-            Err(_) => {
-                // The I/O thread is gone (drained or torn down):
-                // terminal immediately, and still conserved.
-                Shared::bump(&self.shared.canceled);
-                UnitTicket::ready(Err(EngineError::Canceled), Duration::ZERO)
-            }
+            // The I/O thread is gone (drained or torn down): terminal
+            // immediately, and the refused job books itself canceled.
+            Err(_) => UnitTicket::ready(Err(EngineError::Canceled), Duration::ZERO),
         }
     }
 
@@ -323,7 +349,7 @@ impl Endpoint {
 struct Pending {
     perm: Permutation,
     deadline: Option<Instant>,
-    reply: mpsc::Sender<UnitReply>,
+    reply: UnitTx,
     started: Instant,
     /// Transport attempts left on the current owner endpoint.
     attempts_left: u32,
@@ -455,12 +481,7 @@ impl IoThread {
     /// admission verdict: an open primary fails over immediately, and
     /// with nowhere to go the unit sheds the way an engine breaker
     /// sheds — typed, instant, conserved.
-    fn admit_unit(
-        &mut self,
-        perm: Permutation,
-        deadline: Option<Instant>,
-        reply: mpsc::Sender<UnitReply>,
-    ) {
+    fn admit_unit(&mut self, perm: Permutation, deadline: Option<Instant>, reply: UnitTx) {
         let id = self.next_unit;
         self.next_unit += 1;
         let now = Instant::now();
@@ -490,13 +511,10 @@ impl IoThread {
                     self.units.insert(id, unit);
                     self.endpoints[SPARE].sendq.push_back(id);
                 } else {
-                    let reply = UnitReply {
+                    unit.reply.send(UnitReply {
                         result: Err(EngineError::BreakerOpen),
                         latency: now.saturating_duration_since(unit.started),
-                    };
-                    self.shared.account(&reply.result);
-                    // analyze:allow(discarded-result): the caller may have dropped its ticket
-                    let _ = unit.reply.send(reply);
+                    });
                 }
             }
         }
@@ -820,10 +838,7 @@ impl IoThread {
             (Err(_), Some(parked)) => parked.result,
             _ => result,
         };
-        let reply = UnitReply { result, latency: unit.started.elapsed() };
-        self.shared.account(&reply.result);
-        // analyze:allow(discarded-result): the caller may have dropped its ticket
-        let _ = unit.reply.send(reply);
+        unit.reply.send(UnitReply { result, latency: unit.started.elapsed() });
     }
 
     /// Terminal cancel of everything pending (teardown path).
@@ -897,4 +912,29 @@ enum Ingest {
     Continue,
     Drained,
     Disconnected,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_unit_reply_channel_books_exactly_one_terminal_state() {
+        // A unit still queued when the I/O thread exits is dropped with
+        // the job channel: it must reach the ledger as canceled and its
+        // ticket must resolve, or the shard stops conserving requests.
+        let shared = Arc::new(Shared::default());
+        let (tx, rx) = mpsc::channel();
+        drop(UnitTx { tx: Some(tx), shared: Arc::clone(&shared) });
+        assert_eq!(UnitTicket::remote(rx).wait().result, Err(EngineError::Canceled));
+        assert_eq!(shared.canceled.load(Ordering::Relaxed), 1);
+
+        // An answered unit is booked once, by its reply.
+        let (tx, rx) = mpsc::channel();
+        UnitTx { tx: Some(tx), shared: Arc::clone(&shared) }
+            .send(UnitReply { result: Ok(Tier::Waksman), latency: Duration::ZERO });
+        assert_eq!(UnitTicket::remote(rx).wait().result, Ok(Tier::Waksman));
+        assert_eq!(shared.completed.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.canceled.load(Ordering::Relaxed), 1);
+    }
 }

@@ -16,7 +16,9 @@
 #   * word kernel: single-thread routing at n=8 must beat the scalar
 #     kernel by BENCH_WORD_SPEEDUP (default 5; the committed
 #     EXPERIMENTS.md numbers are well above it — the default leaves
-#     headroom for noisy CI boxes).
+#     headroom for noisy CI boxes), and so must replaying a Waksman
+#     set-up as a word mask program against the scalar
+#     realized_permutation walk.
 #
 # Env:
 #   BENCH_REQUESTS      requests per grid cell      (default 4000)
