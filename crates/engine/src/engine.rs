@@ -54,7 +54,7 @@ use crate::worker::{cancel_job, worker_loop};
 pub use crate::queue::{DrainReport, RequestOutcome, SubmitError, Ticket};
 
 /// Per-request submission options for [`Engine::submit_opts`] /
-/// [`Engine::try_submit_opts`]: everything the wire service needs to
+/// [`Engine::try_submit_then`]: everything the wire service needs to
 /// attach to a request beyond the permutation itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOpts {
@@ -353,7 +353,7 @@ impl Engine {
     /// engine the returned ticket is already resolved with
     /// [`EngineError::Canceled`].
     pub fn submit(&self, perm: Permutation) -> Ticket {
-        self.submit_with(perm, None)
+        self.submit_opts(perm, SubmitOpts::default())
     }
 
     /// [`Engine::submit`] with a deadline: a worker that dequeues the
@@ -361,26 +361,7 @@ impl Engine {
     /// with [`EngineError::DeadlineExceeded`] and the permutation is
     /// never planned or executed.
     pub fn submit_with_deadline(&self, perm: Permutation, deadline: Instant) -> Ticket {
-        self.submit_with(perm, Some(deadline))
-    }
-
-    fn submit_with(&self, perm: Permutation, deadline: Option<Instant>) -> Ticket {
-        match self.shared.sub.admit(
-            &self.shared.recorder,
-            perm,
-            deadline,
-            None,
-            Block::Forever,
-        ) {
-            Ok(ticket) => ticket,
-            // Only `ShuttingDown` can escape a forever-blocking
-            // enqueue; honour the infallible signature by handing back
-            // a pre-canceled ticket.
-            Err(_) => Ticket::resolved(RequestOutcome {
-                result: Err(EngineError::Canceled),
-                latency: Duration::ZERO,
-            }),
-        }
+        self.submit_opts(perm, SubmitOpts { deadline: Some(deadline), tenant: None })
     }
 
     /// Blocking admission carrying full [`SubmitOpts`] (deadline +
@@ -388,40 +369,43 @@ impl Engine {
     /// a draining engine the returned ticket is already resolved with
     /// [`EngineError::Canceled`].
     pub fn submit_opts(&self, perm: Permutation, opts: SubmitOpts) -> Ticket {
-        match self.shared.sub.admit(
-            &self.shared.recorder,
-            perm,
-            opts.deadline,
-            opts.tenant,
-            Block::Forever,
-        ) {
-            Ok(ticket) => ticket,
-            Err(_) => Ticket::resolved(RequestOutcome {
-                result: Err(EngineError::Canceled),
-                latency: Duration::ZERO,
-            }),
-        }
+        // Only `ShuttingDown` can escape a forever-blocking enqueue;
+        // honour the infallible signature by handing back a
+        // pre-canceled ticket.
+        self.admit_ticket(perm, opts, Block::Forever).unwrap_or_else(|_| {
+            let (tx, ticket) = Ticket::channel();
+            let canceled = Err(EngineError::Canceled);
+            // analyze:allow(discarded-result): the receiver is in hand
+            let _ = tx.send(RequestOutcome { result: canceled, latency: Duration::ZERO });
+            ticket
+        })
     }
 
-    /// Non-blocking admission carrying full [`SubmitOpts`] — the wire
-    /// service's submission path: rejected requests bump the tenant's
-    /// `rejected` ledger and surface as a protocol error code.
+    /// Non-blocking admission that delivers the outcome to `on_done`
+    /// instead of a [`Ticket`] — the wire service's submission path,
+    /// which routes every completion to the handler that owns the
+    /// connection. Once admitted, `on_done` runs exactly once, on the
+    /// thread that resolves the request; a request whose worker died
+    /// before answering resolves [`EngineError::WorkerLost`]. A refused
+    /// submission never runs `on_done`.
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] on a full bounded queue,
     /// [`SubmitError::ShuttingDown`] on a draining engine.
-    pub fn try_submit_opts(
+    pub fn try_submit_then(
         &self,
         perm: Permutation,
         opts: SubmitOpts,
-    ) -> Result<Ticket, SubmitError> {
+        on_done: impl FnOnce(RequestOutcome) + Send + 'static,
+    ) -> Result<(), SubmitError> {
         self.shared.sub.admit(
             &self.shared.recorder,
             perm,
             opts.deadline,
             opts.tenant,
             Block::Never,
+            Box::new(on_done),
         )
     }
 
@@ -433,7 +417,7 @@ impl Engine {
     /// [`SubmitError::QueueFull`] on a full bounded queue,
     /// [`SubmitError::ShuttingDown`] on a draining engine.
     pub fn try_submit(&self, perm: Permutation) -> Result<Ticket, SubmitError> {
-        self.shared.sub.admit(&self.shared.recorder, perm, None, None, Block::Never)
+        self.admit_ticket(perm, SubmitOpts::default(), Block::Never)
     }
 
     /// Blocking admission with a bound: waits up to `timeout` for queue
@@ -448,13 +432,33 @@ impl Engine {
         perm: Permutation,
         timeout: Duration,
     ) -> Result<Ticket, SubmitError> {
+        let block = Block::Until(Instant::now() + timeout);
+        self.admit_ticket(perm, SubmitOpts::default(), block)
+    }
+
+    /// The ticket-returning admission path: a ticket is just the
+    /// completion that resolves its channel.
+    fn admit_ticket(
+        &self,
+        perm: Permutation,
+        opts: SubmitOpts,
+        block: Block,
+    ) -> Result<Ticket, SubmitError> {
+        let (tx, ticket) = Ticket::channel();
+        let resolve = move |outcome| {
+            // A dropped ticket just means the caller stopped listening.
+            // analyze:allow(discarded-result): caller hung up
+            let _ = tx.send(outcome);
+        };
         self.shared.sub.admit(
             &self.shared.recorder,
             perm,
-            None,
-            None,
-            Block::Until(Instant::now() + timeout),
-        )
+            opts.deadline,
+            opts.tenant,
+            block,
+            Box::new(resolve),
+        )?;
+        Ok(ticket)
     }
 
     /// Enqueues many requests, returning one ticket per request in
@@ -1382,6 +1386,106 @@ mod tests {
                 Err(EngineError::Canceled),
                 "strand {i} must be swept from its shard"
             );
+        }
+    }
+
+    #[test]
+    fn completion_fires_exactly_once_on_every_terminal_path() {
+        // Every admitted request's completion must run once and only
+        // once, whichever way the request ends — otherwise a ticket or
+        // a wire handler waits forever (never) or answers twice (once
+        // too often). The bomb fingerprint is unique to this test (hook
+        // statics are process-wide).
+        use std::sync::mpsc;
+        type Log = Arc<Mutex<Vec<RequestOutcome>>>;
+        fn hooked(engine: &Engine, perm: Permutation, deadline: Option<Instant>) -> Log {
+            let log: Log = Arc::default();
+            let sink = Arc::clone(&log);
+            engine
+                .try_submit_then(perm, SubmitOpts { deadline, tenant: None }, move |o| {
+                    sink.lock().unwrap().push(o);
+                })
+                .expect("admitted");
+            log
+        }
+        let rev = Bpc::bit_reversal(3).to_permutation();
+        let mut cases: Vec<(&str, Log, Result<Tier, EngineError>)> = Vec::new();
+
+        // Completed, plan error, deadline shed.
+        let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+        cases.push(("completed", hooked(&engine, rev.clone(), None), Ok(Tier::SelfRoute)));
+        let odd = p(&[1, 2, 0]);
+        let plan_err = Err(EngineError::Plan(PlanError::UnsupportedLength { len: 3 }));
+        cases.push(("plan error", hooked(&engine, odd, None), plan_err));
+        let expired = Some(Instant::now());
+        let shed = Err(EngineError::DeadlineExceeded);
+        cases.push(("deadline shed", hooked(&engine, rev.clone(), expired), shed));
+        drop(engine);
+
+        // Breaker shed: one injected failure trips a threshold-1
+        // breaker with a long backoff, so the next request sheds.
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                base_backoff: Duration::from_secs(60),
+                max_backoff: Duration::from_secs(60),
+                jitter_seed: 1,
+            },
+            ..EngineConfig::default()
+        });
+        engine.set_chaos(crate::chaos::ChaosConfig::always_fail(7));
+        assert_eq!(engine.submit(rev.clone()).wait().result, Err(EngineError::Injected));
+        let open = Err(EngineError::BreakerOpen);
+        cases.push(("breaker shed", hooked(&engine, rev.clone(), None), open));
+        drop(engine);
+
+        // Drain cancel: the only worker sleeps on the first request
+        // while the second waits in the queue past the drain deadline.
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            batch_size: 1,
+            ..EngineConfig::default()
+        });
+        engine.set_chaos(crate::chaos::ChaosConfig {
+            seed: 1,
+            fail_per_1024: 0,
+            delay_per_1024: 1024,
+            delay: Duration::from_millis(100),
+        });
+        let (started_tx, started_rx) = mpsc::channel();
+        let busy = engine.submit(rev.clone());
+        std::thread::sleep(Duration::from_millis(40)); // worker now sleeping
+        engine
+            .try_submit_then(rev.clone(), SubmitOpts::default(), move |o| {
+                started_tx.send(o).unwrap();
+            })
+            .expect("admitted");
+        let report = engine.drain(Instant::now());
+        assert_eq!(report.canceled, 1, "the queued request is canceled");
+        assert!(busy.wait().is_ok(), "the request already in service finishes");
+        let canceled = started_rx.recv().expect("canceled completion fired");
+        assert_eq!(canceled.result, Err(EngineError::Canceled));
+        assert!(started_rx.try_recv().is_err(), "fired exactly once");
+
+        // Stranded by a killed worker: only the drop guard can answer.
+        let _guard = test_hooks::kill_guard();
+        let bomb = Permutation::from_fn(32, |i| (i + 19) % 32).unwrap();
+        test_hooks::KILL_WORKER_ON_FINGERPRINT.store(bomb.fingerprint(), Ordering::Relaxed);
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            batch_size: 1,
+            ..EngineConfig::default()
+        });
+        let lost = Err(EngineError::WorkerLost);
+        cases.push(("killed worker", hooked(&engine, bomb, None), lost));
+        drop(engine);
+        test_hooks::KILL_WORKER_ON_FINGERPRINT.store(0, Ordering::Relaxed);
+
+        for (path, log, expected) in cases {
+            let log = log.lock().unwrap();
+            assert_eq!(log.len(), 1, "{path}: completion fired {} times", log.len());
+            assert_eq!(log[0].result, expected, "{path}");
         }
     }
 }

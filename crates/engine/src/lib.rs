@@ -51,9 +51,10 @@
 //! cousins [`Engine::try_submit`] / [`Engine::submit_wait`], or the
 //! deadline-carrying [`Engine::submit_with_deadline`]) reaches exactly
 //! one terminal state — completed, failed, shed, or canceled — and its
-//! [`Ticket`] always resolves: timeouts via [`Ticket::wait_timeout`],
-//! polls via [`Ticket::try_result`], shutdown via [`Engine::drain`]
-//! (which cancels rather than abandons).
+//! completion fires exactly once: a [`Ticket`] resolves (bounded waits
+//! via [`Ticket::wait_timeout`]) and an [`Engine::try_submit_then`]
+//! hook runs, even through [`Engine::drain`] (which cancels rather
+//! than abandons) or a worker that dies mid-job (`WorkerLost`).
 //!
 //! # Quick start
 //!

@@ -45,10 +45,12 @@ impl BridgeQueue {
     }
 
     /// Non-blocking admission; `true` if the job was enqueued, `false`
-    /// if it was rejected (queue full or draining). The ticket is
-    /// dropped — the bridge counts outcomes through the recorder.
+    /// if it was rejected (queue full or draining). The completion is a
+    /// no-op — the bridge counts outcomes through the recorder.
     pub fn admit(&self, perm: Permutation) -> bool {
-        self.queue.admit(&self.recorder, perm, None, None, Block::Never).is_ok()
+        self.queue
+            .admit(&self.recorder, perm, None, None, Block::Never, Box::new(drop))
+            .is_ok()
     }
 
     /// One `try_take` scan as worker `worker`; every job taken is

@@ -1,7 +1,7 @@
 //! The submission side of the engine: the sharded job queue, the three
 //! admission disciplines (reject / block / block-with-timeout), and the
-//! per-request lifecycle types ([`Ticket`], [`RequestOutcome`],
-//! [`SubmitError`], [`DrainReport`]).
+//! per-request lifecycle types ([`Ticket`] and the completion behind
+//! it, [`RequestOutcome`], [`SubmitError`], [`DrainReport`]).
 //!
 //! `SubmissionQueue` is **sharded**: one `ShardQueue` per worker, so
 //! the common case is a worker popping from its own shard's mutex with
@@ -106,13 +106,13 @@ impl RequestOutcome {
     }
 }
 
-/// A handle on one submitted request; redeem it with [`Ticket::wait`],
-/// poll it with [`Ticket::try_result`], or bound the wait with
-/// [`Ticket::wait_timeout`].
+/// A handle on one submitted request; redeem it with [`Ticket::wait`]
+/// or bound the wait with [`Ticket::wait_timeout`].
 ///
-/// Once any of the three observes the outcome it is cached in the
-/// ticket, so mixing polls and waits is safe: every later call returns
-/// the same outcome.
+/// A ticket is one completion target: the engine fires the request's
+/// completion into the ticket's channel exactly once. Once observed the
+/// outcome is cached in the ticket, so every later call returns the
+/// same outcome.
 #[derive(Debug)]
 pub struct Ticket {
     rx: mpsc::Receiver<RequestOutcome>,
@@ -120,17 +120,14 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// A ticket that is already resolved (never touches the queue);
-    /// used for submissions refused by a draining engine.
-    pub(crate) fn resolved(outcome: RequestOutcome) -> Self {
-        let (_, rx) = mpsc::channel();
-        Self { rx, outcome: Some(outcome) }
-    }
-
-    /// The worker vanished before replying (only possible if it
-    /// panicked outside the per-job containment).
-    fn lost() -> RequestOutcome {
-        RequestOutcome { result: Err(EngineError::WorkerLost), latency: Duration::ZERO }
+    /// A ticket resolved by the first outcome sent on the returned
+    /// sender — for a layer that answers requests itself, such as a
+    /// remote shard. A sender dropped unused resolves the ticket
+    /// [`EngineError::WorkerLost`].
+    #[must_use]
+    pub fn channel() -> (mpsc::Sender<RequestOutcome>, Self) {
+        let (tx, rx) = mpsc::channel();
+        (tx, Self { rx, outcome: None })
     }
 
     /// Blocks until the request completes and returns its outcome.
@@ -143,47 +140,48 @@ impl Ticket {
         if let Some(outcome) = self.outcome {
             return outcome;
         }
-        self.rx.recv().unwrap_or_else(|_| Self::lost())
+        self.rx.recv().unwrap_or_else(|_| Completion::lost())
     }
 
-    /// Blocks at most `timeout` for the outcome. `None` means the
-    /// request is still in flight; the ticket stays redeemable.
+    /// Blocks at most `timeout` for the outcome (`Duration::ZERO`
+    /// polls). `None` means the request is still in flight; the ticket
+    /// stays redeemable.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<RequestOutcome> {
-        if let Some(outcome) = &self.outcome {
-            return Some(outcome.clone());
+        if self.outcome.is_none() {
+            self.outcome = match self.rx.recv_timeout(timeout) {
+                Ok(outcome) => Some(outcome),
+                Err(mpsc::RecvTimeoutError::Timeout) => None,
+                Err(mpsc::RecvTimeoutError::Disconnected) => Some(Completion::lost()),
+            };
         }
-        match self.rx.recv_timeout(timeout) {
-            Ok(outcome) => {
-                self.outcome = Some(outcome.clone());
-                Some(outcome)
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let outcome = Self::lost();
-                self.outcome = Some(outcome.clone());
-                Some(outcome)
-            }
-        }
+        self.outcome.clone()
+    }
+}
+
+/// Where one admitted job's outcome goes: the hook registered at
+/// submit, fired exactly once by the thread that resolves the job. A
+/// job dropped unanswered (its worker died outside the per-job
+/// containment) fires [`EngineError::WorkerLost`] from the drop, so
+/// no waiter — a [`Ticket`] or a wire handler — can wait forever.
+pub(crate) struct Completion(Option<Box<dyn FnOnce(RequestOutcome) + Send>>);
+
+impl Completion {
+    /// The outcome delivered for a job nobody answered.
+    fn lost() -> RequestOutcome {
+        RequestOutcome { result: Err(EngineError::WorkerLost), latency: Duration::ZERO }
     }
 
-    /// Non-blocking poll: `None` while the request is in flight, the
-    /// outcome once it is terminal. Never blocks, never consumes the
-    /// ticket.
-    pub fn try_result(&mut self) -> Option<RequestOutcome> {
-        if let Some(outcome) = &self.outcome {
-            return Some(outcome.clone());
+    pub(crate) fn fire(mut self, outcome: RequestOutcome) {
+        if let Some(hook) = self.0.take() {
+            hook(outcome);
         }
-        match self.rx.try_recv() {
-            Ok(outcome) => {
-                self.outcome = Some(outcome.clone());
-                Some(outcome)
-            }
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                let outcome = Self::lost();
-                self.outcome = Some(outcome.clone());
-                Some(outcome)
-            }
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        if let Some(hook) = self.0.take() {
+            hook(Self::lost());
         }
     }
 }
@@ -211,7 +209,7 @@ pub(crate) struct Job {
     /// The tenant namespace this request belongs to (set by the wire
     /// service); tagged requests land in the per-tenant ledgers.
     pub(crate) tenant: Option<u64>,
-    pub(crate) reply: mpsc::Sender<RequestOutcome>,
+    pub(crate) reply: Completion,
 }
 
 /// One per-worker queue shard.
@@ -345,8 +343,9 @@ impl SubmissionQueue {
 
     /// The one admission path: checks drain state and the depth bound
     /// (blocking per `block`), reserves a slot, enqueues on the hashed
-    /// shard, and wakes a worker. Rejected submissions are counted
-    /// `rejected`, never `submitted`.
+    /// shard with `on_done` as its [`Completion`], and wakes a worker.
+    /// Rejected submissions are counted `rejected`, never `submitted`,
+    /// and their `on_done` is dropped without running.
     pub(crate) fn admit(
         &self,
         recorder: &Recorder,
@@ -354,7 +353,8 @@ impl SubmissionQueue {
         deadline: Option<Instant>,
         tenant: Option<u64>,
         block: Block,
-    ) -> Result<Ticket, SubmitError> {
+        on_done: Box<dyn FnOnce(RequestOutcome) + Send>,
+    ) -> Result<(), SubmitError> {
         let reject = |err: SubmitError| {
             recorder.note_rejected(tenant);
             Err(err)
@@ -403,7 +403,6 @@ impl SubmissionQueue {
         let fingerprint = perm.fingerprint();
         let shard =
             &self.shards[(mix64(fingerprint ^ nonce) % self.shards.len() as u64) as usize];
-        let (tx, rx) = mpsc::channel();
         {
             let mut q = shard.lock();
             // Re-check under the shard lock: `shut_down` stores
@@ -422,13 +421,13 @@ impl SubmissionQueue {
                 submitted_at: Instant::now(),
                 deadline,
                 tenant,
-                reply: tx,
+                reply: Completion(Some(on_done)),
             });
             shard.depth.store(q.len() as u64, Ordering::Relaxed);
         }
         recorder.note_queue_depth(self.depth.load(Ordering::SeqCst) as u64);
         self.wake_workers(false);
-        Ok(Ticket { rx, outcome: None })
+        Ok(())
     }
 
     /// The queue's total reserved depth (admission slots held, pushed

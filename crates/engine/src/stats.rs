@@ -261,9 +261,6 @@ impl Recorder {
         self.breaker_probes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one submit→terminal latency. The sample lands in the
-    /// overall histogram plus the histogram matching its path (tier /
-    /// failed / shed).
     /// Records how long a request sat queued before a worker dequeued
     /// it (submit → dequeue).
     pub(crate) fn note_queue_wait_ns(&self, ns: u64) {
@@ -276,6 +273,9 @@ impl Recorder {
         self.service.record(ns);
     }
 
+    /// Records one submit→terminal latency. The sample lands in the
+    /// overall histogram plus the histogram matching its path (tier /
+    /// failed / shed).
     pub(crate) fn note_latency_ns(&self, ns: u64, path: LatencyPath) {
         self.latency.record(ns);
         match path {
@@ -460,7 +460,7 @@ pub struct EngineStats {
     pub queue_depths: Vec<u64>,
     /// Per-tenant request ledgers, sorted by tenant id. Only requests
     /// submitted through [`crate::Engine::submit_opts`] /
-    /// [`crate::Engine::try_submit_opts`] with a tenant tag land here;
+    /// [`crate::Engine::try_submit_then`] with a tenant tag land here;
     /// untagged traffic leaves this empty.
     pub tenants: Vec<(u64, TenantStats)>,
 }

@@ -173,8 +173,8 @@ fn breaker_countable(e: &EngineError) -> bool {
 /// Terminal accounting for one job: classify the outcome into exactly
 /// one of completed / failed / shed / canceled, record latency on the
 /// matching path (split into queue wait and service time when the job
-/// reached a worker), freeze the flight record, and reply to the
-/// ticket.
+/// reached a worker), freeze the flight record, and fire the job's
+/// completion.
 fn finish_job(
     shared: &Shared,
     job: Job,
@@ -227,13 +227,11 @@ fn finish_job(
     attempt.result = Some(result.clone());
     attempt.phases.total = latency_ns;
     shared.flight.record(attempt);
-    // A dropped ticket just means the caller stopped listening.
-    // analyze:allow(discarded-result): caller hung up
-    let _ = job.reply.send(RequestOutcome { result, latency });
+    job.reply.fire(RequestOutcome { result, latency });
 }
 
 /// Cancels one never-served job (drain shedding or a post-join sweep):
-/// its ticket resolves with [`EngineError::Canceled`].
+/// its completion fires [`EngineError::Canceled`].
 pub(crate) fn cancel_job(shared: &Shared, job: Job) {
     let mut attempt = RouteAttempt::new(job.fingerprint, job.perm.len());
     attempt.tenant = job.tenant;

@@ -1,5 +1,5 @@
 //! Request-lifecycle integration tests: bounded admission, deadlines,
-//! ticket polling, drain semantics, and the shutdown/condvar race.
+//! bounded ticket waits, drain semantics, and the shutdown/condvar race.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -93,12 +93,13 @@ fn expired_deadline_sheds_without_execution() {
 }
 
 #[test]
-fn try_result_polls_without_blocking() {
+fn wait_timeout_polls_without_blocking() {
     let engine = slow_engine(16, Duration::from_millis(100));
     let mut ticket = engine.submit(small());
-    // In flight (worker sleeping): poll returns None immediately.
+    // In flight (worker sleeping): a zero-length wait returns None
+    // immediately.
     let polled_at = Instant::now();
-    let first = ticket.try_result();
+    let first = ticket.wait_timeout(Duration::ZERO);
     assert!(polled_at.elapsed() < Duration::from_millis(90), "poll must not block");
     assert!(first.is_none(), "request still in flight");
     // wait_timeout shorter than the remaining delay also returns None…
@@ -106,7 +107,10 @@ fn try_result_polls_without_blocking() {
     // …and a full wait resolves; later polls replay the cached outcome.
     let outcome = ticket.wait_timeout(Duration::from_secs(10)).expect("resolves");
     assert!(outcome.is_ok());
-    assert_eq!(ticket.try_result().map(|o| o.result), Some(outcome.result.clone()));
+    assert_eq!(
+        ticket.wait_timeout(Duration::ZERO).map(|o| o.result),
+        Some(outcome.result.clone())
+    );
     assert_eq!(ticket.wait().result, outcome.result);
 }
 

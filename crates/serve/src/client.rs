@@ -17,6 +17,7 @@
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::proto::{decode, Frame, WireError};
@@ -70,9 +71,13 @@ impl std::error::Error for RecvError {
 }
 
 /// One blocking protocol connection.
-#[derive(Debug)]
+///
+/// A clone is a second handle on the same socket with its own copy of
+/// the decode buffer, so one thread can send while another receives
+/// (only one of them should ever `recv`).
+#[derive(Debug, Clone)]
 pub struct Client {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     buf: Vec<u8>,
 }
 
@@ -86,7 +91,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         // analyze:allow(discarded-result): nodelay is advisory
         let _ = stream.set_nodelay(true);
-        Ok(Self { stream, buf: Vec::new() })
+        Ok(Self::from_stream(stream))
     }
 
     /// Connects with a bound on how long the TCP handshake may take.
@@ -112,7 +117,7 @@ impl Client {
                 Ok(stream) => {
                     // analyze:allow(discarded-result): nodelay is advisory
                     let _ = stream.set_nodelay(true);
-                    return Ok(Self { stream, buf: Vec::new() });
+                    return Ok(Self::from_stream(stream));
                 }
                 Err(e) => last_err = Some(e),
             }
@@ -120,6 +125,11 @@ impl Client {
         Err(last_err.unwrap_or_else(|| {
             std::io::Error::new(ErrorKind::InvalidInput, "address resolved to nothing")
         }))
+    }
+
+    /// Wraps an already-connected stream.
+    pub(crate) fn from_stream(stream: TcpStream) -> Self {
+        Self { stream: Arc::new(stream), buf: Vec::new() }
     }
 
     /// Bounds how long [`Client::recv`] blocks for bytes.
@@ -138,7 +148,7 @@ impl Client {
     ///
     /// Any socket write error.
     pub fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
-        self.stream.write_all(&frame.to_bytes())
+        (&*self.stream).write_all(&frame.to_bytes())
     }
 
     /// Writes many frames in one syscall-friendly burst.
@@ -151,7 +161,7 @@ impl Client {
         for f in frames {
             f.encode(&mut out);
         }
-        self.stream.write_all(&out)
+        (&*self.stream).write_all(&out)
     }
 
     /// Blocks until the next complete frame arrives and returns it.
@@ -177,7 +187,7 @@ impl Client {
                 Ok(None) => {}
                 Err(e) => return Err(RecvError::Wire(e)),
             }
-            match self.stream.read(&mut scratch) {
+            match (&*self.stream).read(&mut scratch) {
                 Ok(0) => return Err(RecvError::Closed),
                 Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}

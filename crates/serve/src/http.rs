@@ -11,12 +11,14 @@
 //! scrape, and the route handler is a plain closure — policy (what a
 //! 404 does, what runs per scrape) stays with the caller.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
+
+use crate::server::loopback;
 
 /// One HTTP response, produced by the route handler.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,10 +68,12 @@ impl Default for HttpOptions {
     }
 }
 
-/// Serves `GET` requests on `listener` through a pool of
-/// `opts.threads` handler threads, routing each request's path through
-/// `handler`. Blocks until `opts.max_requests` responses have been
-/// served (forever when `None`). Returns the number served.
+/// Serves `GET` requests on `listener` with `opts.threads` handler
+/// threads, each blocking in `accept` on it and routing each request's
+/// path through `handler`. Returns once `opts.max_requests` responses
+/// have been served (never when `None`): the handler that serves the
+/// last one wakes the others' accepts with loopback connects. Returns
+/// the number served.
 ///
 /// The request path (everything after the method, before the HTTP
 /// version) is passed to `handler` verbatim; the handler's response is
@@ -78,65 +82,55 @@ pub fn serve_http<F>(listener: TcpListener, opts: HttpOptions, handler: F) -> u6
 where
     F: Fn(&str) -> HttpResponse + Send + Sync + 'static,
 {
-    let handler = Arc::new(handler);
-    let served = Arc::new(AtomicU64::new(0));
-    let (tx, rx) = channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let pool: Vec<_> = (0..opts.threads.max(1))
-        .map(|i| {
-            let rx = Arc::clone(&rx);
-            let handler = Arc::clone(&handler);
-            let served = Arc::clone(&served);
-            let read_timeout = opts.read_timeout;
-            std::thread::Builder::new()
-                .name(format!("benes-http-{i}"))
-                .spawn(move || loop {
-                    // Take the next connection; the channel closing is
-                    // the pool's shutdown signal.
-                    let stream = {
-                        let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    let Ok(stream) = stream else { return };
-                    if handle_conn(stream, read_timeout, handler.as_ref()) {
-                        served.fetch_add(1, Ordering::Relaxed);
+    let served = AtomicU64::new(0);
+    let done =
+        || opts.max_requests.is_some_and(|max| served.load(Ordering::Acquire) >= max);
+    let (threads, wake) = (opts.threads.max(1), listener.local_addr().ok().map(loopback));
+    // A one-slot wake for a handler whose accept failed (out of
+    // descriptors, most likely): another handler closed a connection.
+    let (closed, closes) = sync_channel::<()>(1);
+    let closes = Mutex::new(closes);
+    // A listener handed over in nonblocking mode would turn the
+    // blocking accepts into spins.
+    if done() || listener.set_nonblocking(false).is_err() {
+        return 0;
+    }
+    let serve = || {
+        while !done() {
+            match listener.accept() {
+                Ok((stream, _)) if !done() => {
+                    let answered = handle_conn(stream, opts.read_timeout, &handler);
+                    let n = served.fetch_add(u64::from(answered), Ordering::AcqRel);
+                    if answered && Some(n + 1) == opts.max_requests {
+                        for addr in std::iter::repeat_n(wake, threads - 1).flatten() {
+                            // analyze:allow(discarded-result): a refused connect means the accepts are gone
+                            let _ = TcpStream::connect(addr);
+                        }
                     }
-                })
-                .expect("spawn http handler")
-        })
-        .collect();
-
-    // Nonblocking accept so the loop can observe the served count even
-    // while no new connections arrive.
-    let accept_nonblocking = listener.set_nonblocking(true).is_ok();
-    loop {
-        if let Some(max) = opts.max_requests {
-            if served.load(Ordering::Relaxed) >= max {
-                break;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if tx.send(stream).is_err() {
-                    break;
+                }
+                // Accepted after the last allowed response: a wake.
+                Ok(_) => {}
+                // A connection reset in the backlog costs only itself.
+                Err(e) if e.kind() == ErrorKind::ConnectionAborted => {}
+                Err(_) => {
+                    // analyze:allow(discarded-result): this handler keeps a sender alive
+                    let _ = closes.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    continue;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if !accept_nonblocking {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            // analyze:allow(discarded-result): a full slot already holds a wake
+            let _ = closed.try_send(());
         }
-    }
-    // Close the channel; handlers finish their current connection and
-    // exit.
-    drop(tx);
-    for h in pool {
-        // analyze:allow(discarded-result): a panicked handler has nothing to report
-        let _ = h.join();
-    }
+        // Passes the wake on to a handler still waiting for one.
+        // analyze:allow(discarded-result): a full slot already holds a wake
+        let _ = closed.try_send(());
+    };
+    std::thread::scope(|s| {
+        for i in 0..threads {
+            let thread = std::thread::Builder::new().name(format!("benes-http-{i}"));
+            thread.spawn_scoped(s, serve).expect("spawn http handler");
+        }
+    });
     served.load(Ordering::Relaxed)
 }
 

@@ -11,10 +11,10 @@
 //! * [`tenant`] — **fair scheduling**: deficit-round-robin over
 //!   per-tenant bounded backlogs, so one flooding tenant gets its
 //!   round share of engine slots instead of all of them;
-//! * [`server`] — the **server**: nonblocking `std::net` connection
-//!   handling on thread-per-core accept loops, per-connection
-//!   read/write buffers, read-timeout reaping, shed/rejected surfaced
-//!   as protocol status codes, and graceful drain wired to
+//! * [`server`] — the **server**: event-driven `std::net` connection
+//!   handling (an acceptor, a reader and a writer thread per
+//!   connection), read-timeout reaping, shed/rejected surfaced as
+//!   protocol status codes, and graceful drain wired to
 //!   [`benes_engine::Engine::drain`];
 //! * [`client`] — a small blocking client (the load generator and the
 //!   tests speak through it);

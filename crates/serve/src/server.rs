@@ -1,56 +1,58 @@
-//! The benes-serve server: nonblocking connection handling over
-//! `std::net`, per-tenant DRR fair scheduling in front of the engine's
-//! bounded admission, and graceful drain wired to [`Engine::drain`].
+//! The benes-serve server: blocking `std::net` connection handling
+//! driven by completion events, per-tenant DRR fair scheduling in
+//! front of the engine's bounded admission, and graceful drain wired
+//! to [`Engine::drain`].
 //!
 //! # Connection lifecycle
 //!
-//! A shared nonblocking listener is polled by `threads` handler
-//! threads (thread-per-core by default); each accepted connection is
-//! owned by exactly one handler for its whole life. Per iteration a
-//! handler: accepts new connections, reads whatever bytes are
-//! available into each connection's read buffer, decodes complete
-//! frames, feeds Route frames through the tenant scheduler into
-//! [`Engine::try_submit_opts`] (backpressure: a full engine queue
-//! pauses the pump, an over-quota tenant is refused on the spot),
-//! polls in-flight tickets and encodes replies, and flushes write
-//! buffers. A connection idle longer than the read timeout with
-//! nothing in flight is reaped — a silent client cannot pin a handler.
+//! A blocking acceptor deals connections round-robin to `threads`
+//! handler threads; each connection is owned by one handler for its
+//! whole life. Its one socket is shared by a writer thread (so a
+//! client that stops reading stalls only its own writer) and a reader
+//! thread (blocking `read`, frame decode). A handler blocks on one
+//! event channel fed by those readers and by engine completions
+//! registered at submit ([`Engine::try_submit_then`]). Route frames go
+//! through the tenant scheduler into the engine (an over-quota tenant
+//! is refused on the spot; a full engine queue parks the backlog until
+//! the next completion anywhere in the server). Nothing polls: the only
+//! timed waits are the drain grace and [`ServeConfig::read_timeout`],
+//! after which an idle connection with nothing in flight is reaped.
 //!
-//! Malformed input (oversize length prefix, unknown version or type,
-//! torn payloads) gets one [`Frame::ErrorReply`] and the connection is
+//! Malformed input gets one [`Frame::ErrorReply`] and the connection is
 //! closed: a byte stream that lied once cannot be resynchronized.
 //!
 //! # Drain
 //!
-//! A [`Frame::Drain`] (honoured only with
-//! [`ServeConfig::allow_drain`]) or [`Server::shutdown`] flips the
-//! shared stop flag: handlers stop accepting, refuse new Route frames
-//! with [`Status::Draining`], finish pumping their backlog, wait out
-//! their in-flight tickets (bounded by a grace period), flush, and
-//! exit; then the engine itself drains — every admitted request
-//! reaches a terminal state, so per-tenant conservation holds through
-//! shutdown.
+//! A [`Frame::Drain`] (honoured only with [`ServeConfig::allow_drain`])
+//! or [`Server::shutdown`] flips the stop flag and wakes every thread:
+//! handlers refuse new Route frames with [`Status::Draining`], finish
+//! their backlog and in-flight requests and let their writers flush
+//! (bounded by the drain grace), and exit; then the engine drains —
+//! every admitted request reaches a terminal state, so per-tenant
+//! conservation holds through shutdown.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use benes_engine::{
-    DrainReport, Engine, EngineConfig, EngineError, SubmitError, SubmitOpts, Ticket, Tier,
+    DrainReport, Engine, EngineConfig, EngineError, RequestOutcome, SubmitError,
+    SubmitOpts, Tier,
 };
 use benes_perm::Permutation;
 
-use crate::proto::{decode, tier_code, Frame, Status, TenantRow, WireError};
+use crate::client::{Client, RecvError};
+use crate::proto::{tier_code, Frame, Status, TenantRow, WireError};
 use crate::tenant::DrrScheduler;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Handler threads polling the shared listener (thread-per-core:
+    /// Handler threads the connections are dealt to (thread-per-core:
     /// defaults to the machine's available parallelism).
     pub threads: usize,
     /// The engine the server fronts. The default bounds the queue
@@ -156,42 +158,67 @@ impl ServerCounters {
 pub struct Server {
     engine: Arc<Engine>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    hub: Arc<Hub>,
     counters: Arc<ServerCounters>,
-    handlers: Vec<JoinHandle<()>>,
+    /// The handler threads, then the acceptor.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and spawns the
-    /// handler threads.
+    /// acceptor and handler threads.
     ///
     /// # Errors
     ///
     /// Any I/O error from binding or configuring the listener.
     pub fn start(addr: &str, config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(config.engine.clone()));
-        let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServerCounters::default());
-        let threads = config.threads.max(1);
-        let handlers = (0..threads)
-            .map(|i| {
-                let ctx = HandlerCtx {
-                    listener: listener.try_clone().expect("clone listener"),
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..config.threads.max(1)).map(|_| mpsc::channel()).unzip();
+        let (closed, closes) = mpsc::sync_channel(1);
+        let hub = Arc::new(Hub {
+            stop: AtomicBool::new(false),
+            parked: senders.iter().map(|_| AtomicBool::new(false)).collect(),
+            handlers: senders,
+            closed,
+            addr,
+        });
+        let mut threads: Vec<JoinHandle<()>> = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(index, events)| {
+                let (writers, writers_done) = mpsc::channel();
+                let handler = Handler {
+                    index,
+                    hub: Arc::clone(&hub),
                     engine: Arc::clone(&engine),
-                    stop: Arc::clone(&stop),
                     counters: Arc::clone(&counters),
+                    sched: DrrScheduler::new(config.quantum, config.quota),
                     config: config.clone(),
+                    events,
+                    writers,
+                    writers_done,
+                    conns: HashMap::new(),
+                    drain_started: None,
                 };
                 std::thread::Builder::new()
-                    .name(format!("benes-serve-{i}"))
-                    .spawn(move || handler_loop(ctx))
+                    .name(format!("benes-serve-{index}"))
+                    .spawn(move || handler.run())
                     .expect("spawn serve handler")
             })
             .collect();
-        Ok(Self { engine, addr, stop, counters, handlers })
+        let acceptor = {
+            let hub = Arc::clone(&hub);
+            std::thread::Builder::new()
+                .name("benes-serve-accept".into())
+                .spawn(move || accept_loop(&listener, &hub, &closes))
+                .expect("spawn serve acceptor")
+        };
+        threads.push(acceptor);
+        Ok(Self { engine, addr, hub, counters, threads })
     }
 
     /// The address the server is listening on.
@@ -231,42 +258,144 @@ impl Server {
     /// begun).
     #[must_use]
     pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.hub.stopping()
     }
 
     /// Blocks until the server stops (a client Drain under
-    /// `allow_drain`, or a concurrent [`Server::shutdown`]), then
-    /// drains the engine. Returns the engine's drain report.
+    /// `allow_drain`), then drains the engine. Returns the engine's
+    /// drain report.
     pub fn wait(mut self) -> DrainReport {
-        for h in self.handlers.drain(..) {
-            // A panicked handler already lost its connections; the
-            // engine drain below still resolves every ticket.
-            // analyze:allow(discarded-result): handler panic leaves nothing to join
-            let _ = h.join();
-        }
+        self.join_threads();
         self.engine.drain(Instant::now() + Duration::from_secs(5))
     }
 
     /// Stops the server: handlers finish their in-flight work (bounded
     /// by the drain grace), then the engine drains until `deadline`.
-    pub fn shutdown(self, deadline: Instant) -> DrainReport {
-        self.stop.store(true, Ordering::Release);
-        let mut this = self;
-        for h in this.handlers.drain(..) {
+    pub fn shutdown(mut self, deadline: Instant) -> DrainReport {
+        self.hub.stop();
+        self.join_threads();
+        self.engine.drain(deadline)
+    }
+
+    fn join_threads(&mut self) {
+        for t in self.threads.drain(..) {
+            // A panicked handler already lost its connections; the
+            // engine drain still resolves every request.
             // analyze:allow(discarded-result): handler panic leaves nothing to join
-            let _ = h.join();
+            let _ = t.join();
         }
-        this.engine.drain(deadline)
     }
 }
 
-/// Everything one handler thread owns a handle to.
-struct HandlerCtx {
-    listener: TcpListener,
-    engine: Arc<Engine>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ServerCounters>,
-    config: ServeConfig,
+/// What the server's threads share: the stop flag, every handler's
+/// event channel, which handlers wait for engine queue space, and the
+/// acceptor's wakes.
+struct Hub {
+    stop: AtomicBool,
+    handlers: Vec<mpsc::Sender<Event>>,
+    /// `parked[h]`: handler `h` holds scheduler backlog behind a full
+    /// engine queue and waits for a completion to free a slot.
+    parked: Vec<AtomicBool>,
+    /// A one-slot wake for an acceptor out of descriptors: a
+    /// connection closed (or the server is stopping).
+    closed: mpsc::SyncSender<()>,
+    /// The listener's address (a self-connect wakes the acceptor).
+    addr: SocketAddr,
+}
+
+impl Hub {
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Flips the stop flag (once) and wakes every blocked thread: each
+    /// handler with a `Stop` event, the acceptor with a self-connect
+    /// (or, out of descriptors, a close wake).
+    fn stop(&self) {
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        for handler in &self.handlers {
+            // analyze:allow(discarded-result): an exited handler needs no wake
+            let _ = handler.send(Event::Stop);
+        }
+        self.wake_acceptor();
+        // analyze:allow(discarded-result): a refused connect means the acceptor is gone
+        let _ = TcpStream::connect(loopback(self.addr));
+    }
+
+    /// Fills the acceptor's close-wake slot; a wake already there
+    /// covers this one.
+    fn wake_acceptor(&self) {
+        // analyze:allow(discarded-result): a full slot already holds a wake
+        let _ = self.closed.try_send(());
+    }
+
+    /// Posts one engine outcome to the handler that owns its
+    /// connection. Every completion follows a worker's dequeue, which
+    /// freed a queue slot, so it also wakes every parked handler.
+    fn complete(&self, handler: usize, conn: u64, req_id: u64, outcome: RequestOutcome) {
+        // analyze:allow(discarded-result): an exited handler abandoned this reply
+        let _ = self.handlers[handler].send(Event::Done { conn, req_id, outcome });
+        for (h, parked) in self.parked.iter().enumerate() {
+            if parked.load(Ordering::SeqCst) && parked.swap(false, Ordering::SeqCst) {
+                // analyze:allow(discarded-result): an exited handler needs no wake
+                let _ = self.handlers[h].send(Event::Space);
+            }
+        }
+    }
+}
+
+/// `addr` with an unspecified IP replaced by loopback: where a thread
+/// connects to wake an acceptor blocked on `addr`.
+pub(crate) fn loopback(addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+        _ => addr,
+    }
+}
+
+/// Everything that wakes a handler.
+enum Event {
+    // A new connection, dealt to this handler.
+    Accepted { conn: u64, stream: TcpStream },
+    Frame { conn: u64, frame: Frame },
+    // The reader saw no bytes for the read timeout.
+    Idle { conn: u64 },
+    // The reader stopped: EOF or socket error (`None`), or bytes that
+    // do not decode.
+    ReadEnd { conn: u64, err: Option<WireError> },
+    // The engine resolved one request.
+    Done { conn: u64, req_id: u64, outcome: RequestOutcome },
+    // Engine queue space freed up.
+    Space,
+    Stop,
+}
+
+/// Blocks in `accept` and deals each connection to a handler,
+/// round-robin. Exits on the first wake after the stop flag flips.
+fn accept_loop(listener: &TcpListener, hub: &Hub, closes: &mpsc::Receiver<()>) {
+    for (conn, stream) in (0u64..).zip(listener.incoming()) {
+        if hub.stopping() {
+            return;
+        }
+        match stream {
+            Ok(stream) => {
+                let handler = &hub.handlers[(conn % hub.handlers.len() as u64) as usize];
+                // analyze:allow(discarded-result): an exited handler closes the conn by dropping it
+                let _ = handler.send(Event::Accepted { conn, stream });
+            }
+            // A connection reset in the backlog costs only itself.
+            Err(e) if e.kind() == ErrorKind::ConnectionAborted => {}
+            // Anything else (out of descriptors, most likely) lasts
+            // until a connection closes: wait for one, or for stop.
+            Err(_) => {
+                // analyze:allow(discarded-result): the hub keeps the sender alive
+                let _ = closes.recv();
+            }
+        }
+    }
 }
 
 /// One request decoded off a connection, waiting for an engine slot.
@@ -277,36 +406,34 @@ struct Pending {
     perm: Permutation,
 }
 
-/// One request the engine has admitted, awaiting its ticket.
-struct Inflight {
-    req_id: u64,
-    ticket: Ticket,
-}
-
 /// One client connection, owned by exactly one handler thread.
 struct Conn {
-    stream: TcpStream,
-    /// Bytes read but not yet decoded (consumed prefix trimmed).
-    rbuf: Vec<u8>,
-    /// Encoded replies not yet written.
-    wbuf: Vec<u8>,
-    /// How much of `wbuf` has been written.
-    woff: usize,
-    inflight: Vec<Inflight>,
-    last_activity: Instant,
+    /// A handle on the socket, to cut the writer off after the drain
+    /// grace; dropped before `writer`, so the writer holds the last.
+    sock: Client,
+    writer: mpsc::Sender<Vec<Frame>>,
+    /// Replies since the last hand-off to the writer.
+    wbuf: Vec<Frame>,
+    /// Requests in the scheduler or in the engine.
+    outstanding: usize,
+    /// When a reply was last encoded (`None`: never).
+    last_reply: Option<Instant>,
     /// Read side finished (EOF or error): close once quiescent.
     read_closed: bool,
-    /// Protocol violation: close as soon as `wbuf` is flushed.
-    poisoned: bool,
+    /// Protocol violation or reaped: close at the next hand-off.
+    closing: bool,
 }
 
 impl Conn {
-    fn push_frame(&mut self, frame: &Frame) {
-        frame.encode(&mut self.wbuf);
+    fn push_frame(&mut self, frame: Frame) {
+        self.wbuf.push(frame);
+        self.last_reply = Some(Instant::now());
     }
 
-    fn wants_write(&self) -> bool {
-        self.woff < self.wbuf.len()
+    /// A terminal reply to one Route frame.
+    fn reply(&mut self, counters: &ServerCounters, req_id: u64, status: Status) {
+        self.push_frame(Frame::RouteReply { req_id, status, tier: None, latency_ns: 0 });
+        counters.replies.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -340,329 +467,294 @@ fn stats_rows(engine: &Engine) -> Vec<TenantRow> {
         .collect()
 }
 
-fn handler_loop(ctx: HandlerCtx) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut sched: DrrScheduler<Pending> =
-        DrrScheduler::new(ctx.config.quantum, ctx.config.quota);
-    let mut next_conn_id = 0u64;
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut drain_started: Option<Instant> = None;
+/// One handler thread: its connections, its tenant scheduler, and the
+/// event channel it blocks on.
+struct Handler {
+    index: usize,
+    hub: Arc<Hub>,
+    engine: Arc<Engine>,
+    counters: Arc<ServerCounters>,
+    config: ServeConfig,
+    events: mpsc::Receiver<Event>,
+    /// A clone rides in every connection's writer thread: once all are
+    /// dropped, `writers_done` disconnects.
+    writers: mpsc::Sender<()>,
+    writers_done: mpsc::Receiver<()>,
+    conns: HashMap<u64, Conn>,
+    sched: DrrScheduler<Pending>,
+    drain_started: Option<Instant>,
+}
 
-    loop {
-        let stopping = ctx.stop.load(Ordering::Acquire);
-        if stopping && drain_started.is_none() {
-            drain_started = Some(Instant::now());
-        }
-        let mut progress = false;
-
-        // Accept — but not once draining.
-        if !stopping {
-            loop {
-                match ctx.listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        // Frames are small and latency-sensitive.
-                        // analyze:allow(discarded-result): nodelay is advisory
-                        let _ = stream.set_nodelay(true);
-                        ctx.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                        conns.insert(
-                            next_conn_id,
-                            Conn {
-                                stream,
-                                rbuf: Vec::new(),
-                                wbuf: Vec::new(),
-                                woff: 0,
-                                inflight: Vec::new(),
-                                last_activity: Instant::now(),
-                                read_closed: false,
-                                poisoned: false,
-                            },
-                        );
-                        next_conn_id += 1;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break, // transient accept error; retry next tick
+impl Handler {
+    fn run(mut self) {
+        loop {
+            // Block for the next event; once draining, no longer than
+            // the grace.
+            let mut next = match self.drain_started {
+                None => self.events.recv().ok(),
+                Some(started) => {
+                    let left = (started + self.config.drain_grace)
+                        .saturating_duration_since(Instant::now());
+                    self.events.recv_timeout(left).ok()
+                }
+            };
+            // Take the whole batch before acting on it.
+            while let Some(event) = next {
+                self.on_event(event);
+                next = self.events.try_recv().ok();
+            }
+            self.pump();
+            self.hand_off();
+            if let Some(started) = self.drain_started {
+                let idle = self.sched.is_empty()
+                    && self.conns.values().all(|c| c.outstanding == 0);
+                if idle || started.elapsed() >= self.config.drain_grace {
+                    self.finish(started);
+                    return;
                 }
             }
         }
+    }
 
-        // Read + decode every connection.
-        let conn_ids: Vec<u64> = conns.keys().copied().collect();
-        for id in conn_ids {
-            let Some(conn) = conns.get_mut(&id) else { continue };
-            if conn.poisoned {
-                continue;
+    fn on_event(&mut self, event: Event) {
+        match event {
+            // Too late once stopping: dropping the stream closes it.
+            Event::Accepted { conn, stream } if !self.hub.stopping() => {
+                self.open(conn, stream)
             }
-            // Read whatever is available.
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.extend_from_slice(&scratch[..n]);
-                        conn.last_activity = Instant::now();
-                        progress = true;
-                        if n < scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.read_closed = true;
-                        break;
-                    }
+            Event::Accepted { .. } | Event::Space => {}
+            Event::Frame { conn, frame } => self.on_frame(conn, frame),
+            Event::Idle { conn } => {
+                let Some(c) = self.conns.get_mut(&conn) else { return };
+                let quiet =
+                    c.last_reply.is_none_or(|at| at.elapsed() >= self.config.read_timeout);
+                if !self.hub.stopping() && !c.closing && c.outstanding == 0 && quiet {
+                    self.counters.timed_out.fetch_add(1, Ordering::Relaxed);
+                    c.closing = true;
                 }
             }
-            // Decode complete frames off the front.
-            let mut consumed = 0usize;
-            loop {
-                match decode(&conn.rbuf[consumed..]) {
-                    Ok(Some((frame, used))) => {
-                        consumed += used;
-                        progress = true;
-                        handle_frame(&ctx, conn, id, frame, stopping, &mut sched);
-                        if conn.poisoned {
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(err) => {
-                        wire_error(&ctx, conn, &err);
-                        break;
-                    }
+            Event::ReadEnd { conn, err } => {
+                let Some(c) = self.conns.get_mut(&conn) else { return };
+                match err {
+                    Some(err) => wire_error(&self.counters, c, &err),
+                    None => c.read_closed = true,
                 }
             }
-            if consumed > 0 {
-                conn.rbuf.drain(..consumed);
+            Event::Done { conn, req_id, outcome } => {
+                let Some(c) = self.conns.get_mut(&conn) else { return };
+                c.outstanding = c.outstanding.saturating_sub(1);
+                let (status, tier) = classify(&outcome.result);
+                let latency_ns =
+                    u64::try_from(outcome.latency.as_nanos()).unwrap_or(u64::MAX);
+                c.push_frame(Frame::RouteReply { req_id, status, tier, latency_ns });
+                self.counters.replies.fetch_add(1, Ordering::Relaxed);
+            }
+            Event::Stop => {
+                self.drain_started.get_or_insert_with(Instant::now);
             }
         }
+    }
 
-        // Pump the scheduler into the engine until it pushes back.
-        while let Some((tenant, cost, pending)) = sched.dequeue() {
+    /// Takes connection `id` on. Its writer thread sends the replies
+    /// [`Handler::hand_off`] passes it (a client that stops reading
+    /// stalls only that thread) and runs a scoped reader that posts
+    /// every frame here. Once the connection closes, the writer shuts
+    /// the socket down, which ends the reader's blocking read.
+    fn open(&mut self, id: u64, stream: TcpStream) {
+        // Frames are small and latency-sensitive.
+        // analyze:allow(discarded-result): nodelay is advisory
+        let _ = stream.set_nodelay(true);
+        // analyze:allow(discarded-result): a zero timeout is refused, which disables reaping
+        let _ = stream.set_read_timeout(Some(self.config.read_timeout));
+        let (sock, (writer, batches)) =
+            (Client::from_stream(stream), mpsc::channel::<Vec<Frame>>());
+        let (mut client, mut reader, alive) =
+            (sock.clone(), sock.clone(), self.writers.clone());
+        let (hub, events) = (Arc::clone(&self.hub), self.hub.handlers[self.index].clone());
+        let spawn = |name: String| std::thread::Builder::new().name(name);
+        let write = move || {
+            std::thread::scope(|s| {
+                let read = || loop {
+                    let (event, last) = match reader.recv() {
+                        Ok(frame) => (Event::Frame { conn: id, frame }, false),
+                        Err(RecvError::Timeout) => (Event::Idle { conn: id }, false),
+                        Err(RecvError::Wire(err)) => {
+                            (Event::ReadEnd { conn: id, err: Some(err) }, true)
+                        }
+                        Err(_) => (Event::ReadEnd { conn: id, err: None }, true),
+                    };
+                    if events.send(event).is_err() || last {
+                        return;
+                    }
+                };
+                if spawn(format!("benes-serve-r{id}")).spawn_scoped(s, read).is_err() {
+                    // analyze:allow(discarded-result): an exited handler awaits no frames
+                    let _ = events.send(Event::ReadEnd { conn: id, err: None });
+                }
+                // After a write error (the reader hears the peer is gone
+                // too) drain on: this thread must drop the last handle.
+                let mut open = true;
+                for frames in batches {
+                    open = open && client.send_all(&frames).is_ok();
+                }
+                client.kill();
+            });
+            drop((reader, alive));
+            hub.wake_acceptor();
+        };
+        if spawn(format!("benes-serve-w{id}")).spawn(write).is_ok() {
+            self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+            let conn = Conn {
+                sock,
+                writer,
+                wbuf: Vec::new(),
+                outstanding: 0,
+                last_reply: None,
+                read_closed: false,
+                closing: false,
+            };
+            self.conns.insert(id, conn);
+        }
+    }
+
+    /// Processes one decoded frame from connection `id`.
+    fn on_frame(&mut self, id: u64, frame: Frame) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if conn.closing {
+            return;
+        }
+        match frame {
+            Frame::Route { req_id, tenant, deadline_ms, destinations } => {
+                if self.hub.stopping() {
+                    conn.reply(&self.counters, req_id, Status::Draining);
+                    return;
+                }
+                let cost = u32::try_from(destinations.len()).unwrap_or(u32::MAX);
+                let Ok(perm) = Permutation::from_destinations(destinations) else {
+                    conn.reply(&self.counters, req_id, Status::BadRequest);
+                    return;
+                };
+                let deadline = (deadline_ms > 0).then(|| {
+                    Instant::now() + Duration::from_millis(u64::from(deadline_ms))
+                });
+                let pending = Pending { conn: id, req_id, deadline, perm };
+                match self.sched.enqueue(tenant, cost, pending) {
+                    Ok(()) => conn.outstanding += 1,
+                    Err((_, refused)) => {
+                        conn.reply(&self.counters, refused.req_id, Status::QuotaExceeded);
+                    }
+                }
+            }
+            Frame::Stats => {
+                conn.push_frame(Frame::StatsReply { rows: stats_rows(&self.engine) });
+            }
+            Frame::Drain => {
+                if self.config.allow_drain {
+                    conn.push_frame(Frame::StatsReply { rows: stats_rows(&self.engine) });
+                    self.hub.stop();
+                } else {
+                    conn.push_frame(Frame::ErrorReply {
+                        req_id: 0,
+                        code: Status::BadRequest,
+                        message: "drain not allowed (start the server with --allow-drain)"
+                            .into(),
+                    });
+                }
+            }
+            // Server-to-client frames arriving at the server are protocol
+            // violations.
+            Frame::RouteReply { .. }
+            | Frame::StatsReply { .. }
+            | Frame::ErrorReply { .. } => {
+                let err = WireError::Malformed("client sent a server-only frame");
+                wire_error(&self.counters, conn, &err);
+            }
+        }
+    }
+
+    /// Feeds the scheduler into the engine until it pushes back.
+    fn pump(&mut self) {
+        let mut parked = false;
+        while let Some((tenant, cost, pending)) = self.sched.dequeue() {
             let opts = SubmitOpts { deadline: pending.deadline, tenant: Some(tenant) };
-            match ctx.engine.try_submit_opts(pending.perm.clone(), opts) {
-                Ok(ticket) => {
-                    progress = true;
-                    if let Some(conn) = conns.get_mut(&pending.conn) {
-                        conn.inflight.push(Inflight { req_id: pending.req_id, ticket });
-                    }
-                    // Conn already gone: the ticket is dropped, but the
-                    // engine still books the tenant's terminal state —
-                    // conservation survives killed connections.
-                }
+            let (hub, handler) = (Arc::clone(&self.hub), self.index);
+            let (conn, req_id) = (pending.conn, pending.req_id);
+            let on_done = move |outcome| hub.complete(handler, conn, req_id, outcome);
+            // A request whose connection is gone still runs: the
+            // engine books the tenant's terminal state either way, so
+            // conservation survives killed connections.
+            match self.engine.try_submit_then(pending.perm.clone(), opts, on_done) {
+                Ok(()) => {}
                 Err(SubmitError::QueueFull { .. }) => {
-                    sched.requeue_front(tenant, cost, pending);
-                    break;
+                    self.sched.requeue_front(tenant, cost, pending);
+                    if parked {
+                        break;
+                    }
+                    // Park, then retry once: either the retry finds the
+                    // slot a completion freed, or every job filling the
+                    // queue completes after the flag is up and wakes us.
+                    self.hub.parked[self.index].store(true, Ordering::SeqCst);
+                    parked = true;
                 }
                 Err(_) => {
                     // Engine shutting down: everything still queued is
                     // refused as Draining.
-                    if let Some(conn) = conns.get_mut(&pending.conn) {
-                        conn.push_frame(&Frame::RouteReply {
-                            req_id: pending.req_id,
-                            status: Status::Draining,
-                            tier: None,
-                            latency_ns: 0,
-                        });
-                        ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
-                    }
-                    for (_tenant, p) in sched.drain_all() {
-                        if let Some(conn) = conns.get_mut(&p.conn) {
-                            conn.push_frame(&Frame::RouteReply {
-                                req_id: p.req_id,
-                                status: Status::Draining,
-                                tier: None,
-                                latency_ns: 0,
-                            });
-                            ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
+                    let refused = std::iter::once(pending)
+                        .chain(self.sched.drain_all().into_iter().map(|(_, p)| p));
+                    for p in refused {
+                        if let Some(c) = self.conns.get_mut(&p.conn) {
+                            c.outstanding = c.outstanding.saturating_sub(1);
+                            c.reply(&self.counters, p.req_id, Status::Draining);
                         }
                     }
                     break;
                 }
             }
         }
+    }
 
-        // Poll in-flight tickets and encode replies.
-        for conn in conns.values_mut() {
-            let mut i = 0;
-            while i < conn.inflight.len() {
-                if let Some(outcome) = conn.inflight[i].ticket.try_result() {
-                    let done = conn.inflight.swap_remove(i);
-                    let (status, tier) = classify(&outcome.result);
-                    let latency_ns =
-                        u64::try_from(outcome.latency.as_nanos()).unwrap_or(u64::MAX);
-                    conn.push_frame(&Frame::RouteReply {
-                        req_id: done.req_id,
-                        status,
-                        tier,
-                        latency_ns,
-                    });
-                    ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
-                    progress = true;
-                } else {
-                    i += 1;
-                }
+    /// Hands every connection's encoded replies to its writer, then
+    /// closes poisoned and reaped connections, and EOF'd ones with
+    /// nothing outstanding (dropping the sender lets the writer finish
+    /// and shut the socket down).
+    fn hand_off(&mut self) {
+        let counters = &self.counters;
+        self.conns.retain(|_, c| {
+            if !c.wbuf.is_empty() {
+                // analyze:allow(discarded-result): a dead writer means the peer is gone
+                let _ = c.writer.send(std::mem::take(&mut c.wbuf));
             }
-        }
-
-        // Flush write buffers.
-        for conn in conns.values_mut() {
-            while conn.wants_write() {
-                match conn.stream.write(&conn.wbuf[conn.woff..]) {
-                    Ok(0) => {
-                        conn.read_closed = true; // peer gone
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.woff += n;
-                        conn.last_activity = Instant::now();
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                }
+            let close = c.closing || (c.read_closed && c.outstanding == 0);
+            if close {
+                counters.closed.fetch_add(1, Ordering::Relaxed);
             }
-            if conn.woff > 0 && conn.woff == conn.wbuf.len() {
-                conn.wbuf.clear();
-                conn.woff = 0;
-            }
-        }
-
-        // Close: poisoned conns once flushed (or unflushable), EOF'd
-        // conns with nothing pending, and idle conns past the read
-        // timeout.
-        let now = Instant::now();
-        conns.retain(|_, conn| {
-            let flushed = !conn.wants_write();
-            if conn.poisoned && flushed {
-                ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            if conn.read_closed && conn.inflight.is_empty() && flushed {
-                ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            if !stopping
-                && conn.inflight.is_empty()
-                && flushed
-                && now.duration_since(conn.last_activity) > ctx.config.read_timeout
-            {
-                ctx.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-                ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            true
+            !close
         });
+    }
 
-        // Drain exit: backlog refused/pumped, in-flight resolved (or
-        // the grace expired), replies flushed.
-        if let Some(started) = drain_started {
-            let inflight: usize = conns.values().map(|c| c.inflight.len()).sum();
-            let unflushed = conns.values().any(Conn::wants_write);
-            let grace_up = now.duration_since(started) > ctx.config.drain_grace;
-            if (sched.is_empty() && inflight == 0 && !unflushed) || grace_up {
-                for _ in conns.drain() {
-                    ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-        }
-
-        if !progress {
-            // Nothing moved: yield the core to the engine workers
-            // rather than spinning the accept loop dry.
-            std::thread::sleep(Duration::from_micros(200));
+    /// Drain exit: closes every connection and waits (within the
+    /// grace) for the writers to flush; cuts off whatever is left.
+    fn finish(self, started: Instant) {
+        let Handler { conns, writers, writers_done, counters, config, .. } = self;
+        drop(writers);
+        counters.closed.fetch_add(conns.len() as u64, Ordering::Relaxed);
+        // Dropping a connection's sender lets its writer flush and exit.
+        let socks: Vec<Client> = conns.into_values().map(|c| c.sock).collect();
+        let left = (started + config.drain_grace).saturating_duration_since(Instant::now());
+        if writers_done.recv_timeout(left) == Err(mpsc::RecvTimeoutError::Timeout) {
+            socks.into_iter().for_each(Client::kill);
         }
     }
 }
 
-/// Answers a protocol violation with one `ErrorReply` and poisons the
-/// connection (closed after the reply flushes).
-fn wire_error(ctx: &HandlerCtx, conn: &mut Conn, err: &WireError) {
-    ctx.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    conn.push_frame(&Frame::ErrorReply {
+/// Answers a protocol violation with one `ErrorReply` and closes the
+/// connection once the reply is handed to its writer.
+fn wire_error(counters: &ServerCounters, conn: &mut Conn, err: &WireError) {
+    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    conn.push_frame(Frame::ErrorReply {
         req_id: 0,
         code: Status::BadRequest,
         message: err.to_string(),
     });
-    conn.poisoned = true;
-}
-
-/// Processes one decoded frame from connection `id`.
-fn handle_frame(
-    ctx: &HandlerCtx,
-    conn: &mut Conn,
-    id: u64,
-    frame: Frame,
-    stopping: bool,
-    sched: &mut DrrScheduler<Pending>,
-) {
-    match frame {
-        Frame::Route { req_id, tenant, deadline_ms, destinations } => {
-            if stopping {
-                conn.push_frame(&Frame::RouteReply {
-                    req_id,
-                    status: Status::Draining,
-                    tier: None,
-                    latency_ns: 0,
-                });
-                ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let cost = u32::try_from(destinations.len()).unwrap_or(u32::MAX);
-            let Ok(perm) = Permutation::from_destinations(destinations) else {
-                conn.push_frame(&Frame::RouteReply {
-                    req_id,
-                    status: Status::BadRequest,
-                    tier: None,
-                    latency_ns: 0,
-                });
-                ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
-                return;
-            };
-            let deadline = (deadline_ms > 0)
-                .then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
-            let pending = Pending { conn: id, req_id, deadline, perm };
-            if let Err((_, refused)) = sched.enqueue(tenant, cost, pending) {
-                conn.push_frame(&Frame::RouteReply {
-                    req_id: refused.req_id,
-                    status: Status::QuotaExceeded,
-                    tier: None,
-                    latency_ns: 0,
-                });
-                ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Frame::Stats => {
-            conn.push_frame(&Frame::StatsReply { rows: stats_rows(&ctx.engine) });
-        }
-        Frame::Drain => {
-            if ctx.config.allow_drain {
-                conn.push_frame(&Frame::StatsReply { rows: stats_rows(&ctx.engine) });
-                ctx.stop.store(true, Ordering::Release);
-            } else {
-                conn.push_frame(&Frame::ErrorReply {
-                    req_id: 0,
-                    code: Status::BadRequest,
-                    message: "drain not allowed (start the server with --allow-drain)"
-                        .into(),
-                });
-            }
-        }
-        // Server-to-client frames arriving at the server are protocol
-        // violations.
-        Frame::RouteReply { .. } | Frame::StatsReply { .. } | Frame::ErrorReply { .. } => {
-            wire_error(ctx, conn, &WireError::Malformed("client sent a server-only frame"));
-        }
-    }
+    conn.closing = true;
 }

@@ -2,7 +2,7 @@
 //!
 //! PR 6's coordinator talked to a `Vec<Engine>` directly; this module
 //! generalizes one shard into a [`Backend`]: *any* fault domain that
-//! accepts a routing unit and guarantees a terminal [`UnitReply`].
+//! accepts a routing unit and guarantees it a terminal outcome.
 //! Two implementations exist — [`LocalShard`] wraps an in-process
 //! [`Engine`]; `RemoteShard` (see [`crate::remote`]) speaks the
 //! benes-serve wire protocol to a separate process. The coordinator's
@@ -11,92 +11,10 @@
 //! *process* degrades a permutation the same element-exact way a dark
 //! in-process engine does.
 
-use std::fmt;
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use benes_engine::{Engine, EngineConfig, EngineError, Tier};
+use benes_engine::{Engine, EngineConfig, SubmitOpts, Ticket};
 use benes_perm::Permutation;
-
-/// The terminal result of one routing unit on one backend.
-#[derive(Debug, Clone)]
-pub struct UnitReply {
-    /// The tier that served the unit, or why it failed/was shed.
-    pub result: Result<Tier, EngineError>,
-    /// Submit → terminal latency as observed by the coordinator (for
-    /// remote backends this includes queueing, the wire, retries and
-    /// failover — the latency the caller actually experienced).
-    pub latency: Duration,
-}
-
-enum TicketInner {
-    /// An in-process engine ticket.
-    Local(benes_engine::Ticket),
-    /// A remote unit: the backend's I/O thread sends exactly one
-    /// terminal reply.
-    Remote(mpsc::Receiver<UnitReply>),
-    /// Already terminal at submit time (e.g. the backend is shut
-    /// down).
-    Ready(UnitReply),
-}
-
-/// A pending routing unit on some backend. Like an engine
-/// [`benes_engine::Ticket`], it **always** resolves: every admitted
-/// unit reaches exactly one terminal state.
-pub struct UnitTicket {
-    inner: TicketInner,
-}
-
-impl UnitTicket {
-    /// Wraps an in-process engine ticket.
-    #[must_use]
-    pub fn local(ticket: benes_engine::Ticket) -> Self {
-        Self { inner: TicketInner::Local(ticket) }
-    }
-
-    /// Wraps a remote reply channel (the sender must guarantee exactly
-    /// one terminal reply, or drop — a dropped sender resolves as
-    /// canceled).
-    #[must_use]
-    pub fn remote(rx: mpsc::Receiver<UnitReply>) -> Self {
-        Self { inner: TicketInner::Remote(rx) }
-    }
-
-    /// A unit that was terminal at submit time.
-    #[must_use]
-    pub fn ready(result: Result<Tier, EngineError>, latency: Duration) -> Self {
-        Self { inner: TicketInner::Ready(UnitReply { result, latency }) }
-    }
-
-    /// Blocks until the unit is terminal.
-    #[must_use]
-    pub fn wait(self) -> UnitReply {
-        match self.inner {
-            TicketInner::Local(t) => {
-                let outcome = t.wait();
-                UnitReply { result: outcome.result, latency: outcome.latency }
-            }
-            TicketInner::Remote(rx) => rx.recv().unwrap_or(UnitReply {
-                // The I/O thread exited without replying (the unit's
-                // dropped reply channel booked it canceled).
-                result: Err(EngineError::Canceled),
-                latency: Duration::ZERO,
-            }),
-            TicketInner::Ready(reply) => reply,
-        }
-    }
-}
-
-impl fmt::Debug for UnitTicket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match &self.inner {
-            TicketInner::Local(_) => "local",
-            TicketInner::Remote(_) => "remote",
-            TicketInner::Ready(_) => "ready",
-        };
-        f.debug_struct("UnitTicket").field("kind", &kind).finish()
-    }
-}
 
 /// One backend's lifecycle + resilience ledger.
 ///
@@ -104,7 +22,7 @@ impl fmt::Debug for UnitTicket {
 /// backend (`completed + failed + shed + canceled == submitted`); the
 /// resilience half counts what the remote transport had to do to get
 /// there (always zero for a local backend).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendLedger {
     /// `"local"` or `"remote"` — the backend flavor, for labels.
     pub kind: &'static str,
@@ -136,19 +54,7 @@ impl BackendLedger {
     /// A zeroed ledger for one backend flavor.
     #[must_use]
     pub fn zeroed(kind: &'static str, healthy: bool) -> Self {
-        Self {
-            kind,
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            shed: 0,
-            canceled: 0,
-            retries: 0,
-            failovers: 0,
-            hedges: 0,
-            reconnects: 0,
-            healthy,
-        }
+        Self { kind, healthy, ..Self::default() }
     }
 
     /// The conservation invariant, exact at quiescence.
@@ -173,16 +79,19 @@ pub struct BackendDrain {
 /// One routing fault domain the coordinator can scatter onto.
 ///
 /// Implementations must guarantee that every submitted unit reaches a
-/// terminal state (the returned [`UnitTicket`] always resolves) and
-/// that the [`BackendLedger`] conserves at quiescence.
+/// terminal state (the returned [`Ticket`] always resolves) and that
+/// the [`BackendLedger`] conserves at quiescence.
 pub trait Backend: Send + Sync {
     /// A short human label (`engine#2`, `remote 127.0.0.1:9200`, …).
     fn describe(&self) -> String;
 
     /// Submits one routing unit. Never blocks on the unit itself;
     /// rejection or unavailability surface as an already-terminal
-    /// ticket, not an error.
-    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket;
+    /// ticket, not an error. A local shard hands out its engine's
+    /// ticket; a remote shard's I/O thread answers through
+    /// [`Ticket::channel`], with a latency that includes queueing, the
+    /// wire, retries and failover.
+    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> Ticket;
 
     /// This backend's lifecycle + resilience ledger.
     fn ledger(&self) -> BackendLedger;
@@ -224,13 +133,10 @@ impl Backend for LocalShard {
         "local engine".to_string()
     }
 
-    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket {
-        // submit/submit_with_deadline resolve rejected admissions to
-        // canceled tickets themselves, so this never blocks gather.
-        match deadline {
-            Some(dl) => UnitTicket::local(self.engine.submit_with_deadline(perm, dl)),
-            None => UnitTicket::local(self.engine.submit(perm)),
-        }
+    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> Ticket {
+        // submit_opts resolves rejected admissions to canceled tickets
+        // itself, so this never blocks gather.
+        self.engine.submit_opts(perm, SubmitOpts { deadline, tenant: None })
     }
 
     fn ledger(&self) -> BackendLedger {
@@ -262,19 +168,6 @@ impl Backend for LocalShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ready_tickets_resolve_immediately() {
-        let t = UnitTicket::ready(Err(EngineError::Canceled), Duration::ZERO);
-        assert_eq!(t.wait().result, Err(EngineError::Canceled));
-    }
-
-    #[test]
-    fn dropped_remote_sender_resolves_as_canceled() {
-        let (tx, rx) = mpsc::channel::<UnitReply>();
-        drop(tx);
-        assert_eq!(UnitTicket::remote(rx).wait().result, Err(EngineError::Canceled));
-    }
 
     #[test]
     fn local_shard_routes_and_conserves() {

@@ -22,10 +22,10 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use benes_engine::chaos::ChaosConfig;
-use benes_engine::{Engine, EngineConfig, EngineError, Tier};
+use benes_engine::{Engine, EngineConfig, EngineError, Ticket, Tier};
 use benes_perm::Permutation;
 
-use crate::backend::{Backend, BackendDrain, LocalShard, UnitTicket};
+use crate::backend::{Backend, BackendDrain, LocalShard};
 use crate::decompose::{balanced_block_bits, decompose, DecomposeError, Decomposition};
 use crate::stats::{FleetStats, ShardStats};
 
@@ -401,7 +401,7 @@ impl ShardCoordinator {
         &self,
         d: &Decomposition,
         deadline: Option<Instant>,
-    ) -> Vec<(Stage, usize, usize, UnitTicket)> {
+    ) -> Vec<(Stage, usize, usize, Ticket)> {
         let mut out = Vec::with_capacity(d.unit_count());
         for (b, p) in d.stage1().iter().enumerate() {
             let shard = self.shard_for_block(b);
@@ -418,12 +418,7 @@ impl ShardCoordinator {
         out
     }
 
-    fn submit(
-        &self,
-        shard: usize,
-        p: &Permutation,
-        deadline: Option<Instant>,
-    ) -> UnitTicket {
+    fn submit(&self, shard: usize, p: &Permutation, deadline: Option<Instant>) -> Ticket {
         // Backends resolve rejected/unreachable admissions to
         // already-terminal tickets themselves, so this never blocks
         // gather.
@@ -492,7 +487,7 @@ impl fmt::Debug for ShardCoordinator {
 /// Waits out every ticket, preserving scatter order. Backends guarantee
 /// every ticket resolves (rejections and unreachable backends are
 /// already-terminal tickets), so gather always returns.
-fn gather(tickets: Vec<(Stage, usize, usize, UnitTicket)>) -> Vec<UnitOutcome> {
+fn gather(tickets: Vec<(Stage, usize, usize, Ticket)>) -> Vec<UnitOutcome> {
     tickets
         .into_iter()
         .map(|(stage, index, shard, ticket)| {

@@ -68,9 +68,7 @@ pub mod remote;
 pub mod soak;
 pub mod stats;
 
-pub use backend::{
-    Backend, BackendDrain, BackendLedger, LocalShard, UnitReply, UnitTicket,
-};
+pub use backend::{Backend, BackendDrain, BackendLedger, LocalShard};
 pub use coordinator::{
     BlockPolicy, ShardConfig, ShardCoordinator, ShardError, ShardOutcome, Stage,
     UnitOutcome,

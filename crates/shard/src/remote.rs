@@ -3,8 +3,10 @@
 //!
 //! One background I/O thread owns the connections and all transport
 //! state; [`RemoteShard::submit`] just enqueues a unit and hands back
-//! a reply channel, so scatter never blocks on the network. The
-//! resilience ladder, from cheapest to most drastic:
+//! a ticket, so scatter never blocks on the network. The I/O thread
+//! blocks on one channel fed by callers and by a reader thread per
+//! connection, until the earliest timer it owns. The resilience
+//! ladder, from cheapest to most drastic:
 //!
 //! 1. **Pipelining** — units are sent as they arrive and matched to
 //!    replies by request id, so one slow unit never stalls the rest.
@@ -28,25 +30,29 @@
 //!    reply wins and the loser is discarded by request-id matching.
 //!
 //! A separate prober thread heartbeats the primary with `Stats`
-//! frames and publishes the verdict as the per-shard health gauge.
+//! frames every [`RemoteConfig::probe_interval`] and publishes the
+//! verdict as the per-shard health gauge.
 //!
 //! Every unit reaches exactly one terminal state — completed, failed,
 //! shed, or canceled — so the coordinator's conservation invariant
 //! holds per remote shard exactly as it does per local engine.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use benes_engine::workload::Rng64;
-use benes_engine::{Admission, Breaker, BreakerConfig, EngineError, Tier};
+use benes_engine::{
+    Admission, Breaker, BreakerConfig, EngineError, RequestOutcome, Ticket, Tier,
+};
 use benes_perm::Permutation;
 use benes_serve::proto::{tier_from_code, Frame, Status};
 use benes_serve::{Client, RecvError};
 
-use crate::backend::{Backend, BackendDrain, BackendLedger, UnitReply, UnitTicket};
+use crate::backend::{Backend, BackendDrain, BackendLedger};
 
 /// Tuning knobs for one [`RemoteShard`].
 #[derive(Debug, Clone)]
@@ -126,7 +132,6 @@ struct Shared {
     hedges: AtomicU64,
     reconnects: AtomicU64,
     healthy: AtomicBool,
-    stop: AtomicBool,
 }
 
 impl Shared {
@@ -149,15 +154,15 @@ impl Shared {
 /// A unit's reply channel. [`UnitTx::send`] books the reply in the
 /// ledger; a unit dropped unanswered (still queued when the I/O thread
 /// exits after a drain, or refused because it already has) is booked as
-/// canceled, and its ticket resolves `Canceled` through the disconnect.
-/// Either way every submitted unit reaches exactly one terminal state.
+/// canceled and its ticket resolves `Canceled`. Either way every
+/// submitted unit reaches exactly one terminal state.
 struct UnitTx {
-    tx: Option<mpsc::Sender<UnitReply>>,
+    tx: Option<mpsc::Sender<RequestOutcome>>,
     shared: Arc<Shared>,
 }
 
 impl UnitTx {
-    fn send(mut self, reply: UnitReply) {
+    fn send(mut self, reply: RequestOutcome) {
         self.shared.account(&reply.result);
         if let Some(tx) = self.tx.take() {
             // analyze:allow(discarded-result): the caller may have dropped its ticket
@@ -168,25 +173,38 @@ impl UnitTx {
 
 impl Drop for UnitTx {
     fn drop(&mut self) {
-        if self.tx.is_some() {
+        if let Some(tx) = self.tx.take() {
             Shared::bump(&self.shared.canceled);
+            // analyze:allow(discarded-result): the caller may have dropped its ticket
+            let _ = tx.send(RequestOutcome {
+                result: Err(EngineError::Canceled),
+                latency: Duration::ZERO,
+            });
         }
     }
 }
 
-/// A job for the I/O thread.
-enum Job {
+/// Everything that wakes the I/O thread.
+enum Event {
     Unit { perm: Permutation, deadline: Option<Instant>, tx: UnitTx },
-    Drain { deadline: Instant, tx: mpsc::Sender<BackendDrain> },
+    // One frame read off endpoint `ep`'s connection number `conn`.
+    Reply { ep: usize, conn: u64, frame: Frame },
+    // That connection's reader stopped: EOF, socket or wire error.
+    Lost { ep: usize, conn: u64 },
+    // Cancel every pending unit and exit; a drain hears how many.
+    Stop(Option<mpsc::Sender<u64>>),
 }
 
 /// One benes-serve process as a coordinator [`Backend`].
 #[derive(Debug)]
 pub struct RemoteShard {
     addr: String,
-    jobs: mpsc::Sender<Job>,
+    events: mpsc::Sender<Event>,
     shared: Arc<Shared>,
+    connect_timeout: Duration,
     io: Option<JoinHandle<()>>,
+    /// Dropping it stops the prober.
+    stop_prober: Option<mpsc::Sender<()>>,
     prober: Option<JoinHandle<()>>,
 }
 
@@ -200,19 +218,28 @@ impl RemoteShard {
         // Optimistic until the first probe lands: a fleet that has not
         // been probed yet should not report dead shards.
         shared.healthy.store(true, Ordering::Release);
-        let (jobs_tx, jobs_rx) = mpsc::channel();
+        let (events, events_rx) = mpsc::channel();
         let addr = config.addr.clone();
         let io = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            std::thread::spawn(move || IoThread::new(config, shard, shared).run(&jobs_rx))
+            let io =
+                IoThread::new(config.clone(), shard, Arc::clone(&shared), events.clone());
+            std::thread::spawn(move || io.run(&events_rx))
         };
+        let (stop_prober, stop) = mpsc::channel();
         let prober = {
             let shared = Arc::clone(&shared);
             let config = config.clone();
-            std::thread::spawn(move || probe_loop(&config, &shared))
+            std::thread::spawn(move || probe_loop(&config, &shared, &stop))
         };
-        Self { addr, jobs: jobs_tx, shared, io: Some(io), prober: Some(prober) }
+        Self {
+            addr,
+            events,
+            shared,
+            connect_timeout: config.connect_timeout,
+            io: Some(io),
+            stop_prober: Some(stop_prober),
+            prober: Some(prober),
+        }
     }
 }
 
@@ -221,16 +248,15 @@ impl Backend for RemoteShard {
         format!("remote {}", self.addr)
     }
 
-    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket {
+    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> Ticket {
         Shared::bump(&self.shared.submitted);
-        let (tx, rx) = mpsc::channel();
+        let (tx, ticket) = Ticket::channel();
         let tx = UnitTx { tx: Some(tx), shared: Arc::clone(&self.shared) };
-        match self.jobs.send(Job::Unit { perm, deadline, tx }) {
-            Ok(()) => UnitTicket::remote(rx),
-            // The I/O thread is gone (drained or torn down): terminal
-            // immediately, and the refused job books itself canceled.
-            Err(_) => UnitTicket::ready(Err(EngineError::Canceled), Duration::ZERO),
-        }
+        // If the I/O thread is gone (drained or torn down), the refused
+        // unit drops here and resolves its ticket canceled.
+        // analyze:allow(discarded-result): the refused unit answers itself
+        let _ = self.events.send(Event::Unit { perm, deadline, tx });
+        ticket
     }
 
     fn ledger(&self) -> BackendLedger {
@@ -252,18 +278,29 @@ impl Backend for RemoteShard {
 
     fn drain(&self, deadline: Instant) -> BackendDrain {
         let (tx, rx) = mpsc::channel();
-        if self.jobs.send(Job::Drain { deadline, tx }).is_err() {
+        if self.events.send(Event::Stop(Some(tx))).is_err() {
             // Already drained or torn down: nothing in flight.
-            return BackendDrain { canceled: 0, timed_out: false, unreachable: false };
+            return BackendDrain::default();
         }
-        let budget = deadline.saturating_duration_since(Instant::now());
-        // Headroom over the I/O thread's own deadline handling so a
-        // well-behaved drain is reported as such.
-        rx.recv_timeout(budget + Duration::from_secs(1)).unwrap_or(BackendDrain {
-            canceled: 0,
-            timed_out: true,
-            unreachable: true,
-        })
+        // The I/O thread may be inside a bounded connect to each endpoint
+        // when the drain arrives.
+        let Ok(canceled) = rx.recv_timeout(2 * self.connect_timeout) else {
+            return BackendDrain { canceled: 0, timed_out: true, unreachable: true };
+        };
+        // Then the server drains, asked over a fresh connection as the
+        // prober asks for stats; a dead shard fails the bounded connect.
+        let ack = Client::connect_timeout(&self.addr, self.connect_timeout)
+            .and_then(|mut c| c.send(&Frame::Drain).map(|()| c))
+            .map_err(RecvError::Io)
+            .and_then(|mut c| {
+                // A zero read timeout is refused: the deadline has passed.
+                let left = deadline.saturating_duration_since(Instant::now());
+                c.set_read_timeout(Some(left)).map_err(|_| RecvError::Timeout)?;
+                c.recv()
+            });
+        let timed_out = matches!(ack, Err(RecvError::Timeout));
+        let unreachable = !timed_out && !matches!(ack, Ok(Frame::StatsReply { .. }));
+        BackendDrain { canceled, timed_out, unreachable }
     }
 
     fn healthy(&self) -> bool {
@@ -273,7 +310,9 @@ impl Backend for RemoteShard {
 
 impl Drop for RemoteShard {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // analyze:allow(discarded-result): an exited I/O thread needs no stop
+        let _ = self.events.send(Event::Stop(None));
+        self.stop_prober.take();
         if let Some(io) = self.io.take() {
             // analyze:allow(discarded-result): a panicked I/O thread leaves nothing to join
             let _ = io.join();
@@ -288,18 +327,14 @@ impl Drop for RemoteShard {
 /// Heartbeats the primary with `Stats` frames and publishes the
 /// verdict. A fresh connection per probe means the heartbeat also
 /// exercises connectability — exactly what failover cares about.
-fn probe_loop(config: &RemoteConfig, shared: &Shared) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let verdict = probe_once(config);
-        shared.healthy.store(verdict, Ordering::Release);
-        // Sleep in small slices so teardown never waits a full
-        // interval.
-        let until = Instant::now() + config.probe_interval;
-        while Instant::now() < until {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+/// Between probes it waits on `stop`, which disconnects the moment the
+/// shard is dropped, so teardown never waits out an interval.
+fn probe_loop(config: &RemoteConfig, shared: &Shared, stop: &mpsc::Receiver<()>) {
+    loop {
+        shared.healthy.store(probe_once(config), Ordering::Release);
+        if stop.recv_timeout(config.probe_interval) != Err(mpsc::RecvTimeoutError::Timeout)
+        {
+            return;
         }
     }
 }
@@ -325,7 +360,11 @@ const SPARE: usize = 1;
 /// One endpoint's connection + pacing state.
 struct Endpoint {
     addr: Option<String>,
+    /// The write half; a reader thread owns the read half.
     conn: Option<Client>,
+    /// The number of the current (or next) connection; bumped at each
+    /// hang-up, so events from a dropped connection are stale.
+    conn_id: u64,
     breaker: Breaker,
     /// The next breaker verdict to report carries the probe flag.
     probe_pending: bool,
@@ -335,14 +374,6 @@ struct Endpoint {
     jitter: Rng64,
     /// Units queued for (re)send on this endpoint.
     sendq: VecDeque<u64>,
-    /// Outstanding request ids on the **current** connection.
-    inflight: u64,
-}
-
-impl Endpoint {
-    fn exists(&self) -> bool {
-        self.addr.is_some()
-    }
 }
 
 /// One unit in flight inside the I/O thread.
@@ -361,12 +392,32 @@ struct Pending {
     req: [Option<u64>; 2],
     sent_at: Option<Instant>,
     /// A losing (non-Ok) reply parked while a hedge twin is still out.
-    fallback: Option<UnitReply>,
+    fallback: Option<RequestOutcome>,
+}
+
+impl Pending {
+    /// The unit's timers: its deadline, its request timeout while a
+    /// request is out, and its hedge instant while it can be hedged.
+    fn timers(&self, cfg: &RemoteConfig, spare: bool) -> [Option<Instant>; 3] {
+        let hedgeable = spare
+            && !self.hedged
+            && self.owner == PRIMARY
+            && self.req[PRIMARY].is_some()
+            && self.req[SPARE].is_none();
+        let waiting = self.req.iter().any(Option::is_some);
+        [
+            self.deadline,
+            self.sent_at.filter(|_| waiting).map(|at| at + cfg.request_timeout),
+            self.sent_at.filter(|_| hedgeable).zip(cfg.hedge).map(|(at, h)| at + h),
+        ]
+    }
 }
 
 struct IoThread {
     cfg: RemoteConfig,
     shared: Arc<Shared>,
+    /// Handed to each connection's reader thread.
+    events: mpsc::Sender<Event>,
     endpoints: [Endpoint; 2],
     units: HashMap<u64, Pending>,
     by_req: HashMap<u64, u64>,
@@ -375,12 +426,18 @@ struct IoThread {
 }
 
 impl IoThread {
-    fn new(cfg: RemoteConfig, shard: usize, shared: Arc<Shared>) -> Self {
+    fn new(
+        cfg: RemoteConfig,
+        shard: usize,
+        shared: Arc<Shared>,
+        events: mpsc::Sender<Event>,
+    ) -> Self {
         let endpoint = |addr: Option<String>, index: usize| {
             let order = u32::try_from(shard * 2 + index).unwrap_or(u32::MAX);
             Endpoint {
                 addr,
                 conn: None,
+                conn_id: 0,
                 breaker: Breaker::new(cfg.breaker.clone(), order),
                 probe_pending: false,
                 connect_streak: 0,
@@ -389,7 +446,6 @@ impl IoThread {
                     cfg.jitter_seed ^ (shard as u64) ^ ((index as u64) << 32),
                 ),
                 sendq: VecDeque::new(),
-                inflight: 0,
             }
         };
         let endpoints =
@@ -397,6 +453,7 @@ impl IoThread {
         Self {
             cfg,
             shared,
+            events,
             endpoints,
             units: HashMap::new(),
             by_req: HashMap::new(),
@@ -405,76 +462,63 @@ impl IoThread {
         }
     }
 
-    fn run(mut self, jobs: &mpsc::Receiver<Job>) {
+    fn run(mut self, events: &mpsc::Receiver<Event>) {
         loop {
-            if self.shared.stop.load(Ordering::Acquire) {
-                self.cancel_all();
-                return;
-            }
-            match self.ingest(jobs) {
-                Ingest::Continue => {}
-                Ingest::Drained | Ingest::Disconnected => {
-                    self.cancel_all();
-                    return;
+            // Block until an event or the earliest timer.
+            let mut next = match self.next_wake() {
+                None => events.recv().ok(),
+                Some(at) => {
+                    events.recv_timeout(at.saturating_duration_since(Instant::now())).ok()
                 }
-            }
-            for e in [PRIMARY, SPARE] {
-                self.pump_sends(e);
-            }
-            for e in [PRIMARY, SPARE] {
-                self.pump_recvs(e);
+            };
+            while let Some(event) = next {
+                match event {
+                    Event::Unit { perm, deadline, tx } => {
+                        self.admit_unit(perm, deadline, tx)
+                    }
+                    Event::Stop(drain) => {
+                        let canceled = u64::try_from(self.units.len()).unwrap_or(u64::MAX);
+                        self.cancel_all();
+                        if let Some(tx) = drain {
+                            // analyze:allow(discarded-result): the drain caller may have timed out and gone
+                            let _ = tx.send(canceled);
+                        }
+                        return;
+                    }
+                    Event::Reply { ep, conn, frame }
+                        if self.endpoints[ep].conn_id == conn =>
+                    {
+                        self.reply_frame(ep, frame);
+                    }
+                    Event::Lost { ep, conn } if self.endpoints[ep].conn_id == conn => {
+                        self.endpoint_failed(ep, Instant::now());
+                    }
+                    Event::Reply { .. } | Event::Lost { .. } => {} // a replaced connection
+                }
+                next = events.try_recv().ok();
             }
             self.scan_time();
-            // Units queued but nothing on the wire means every viable
-            // endpoint is inside its reconnect backoff: sleep a tick
-            // instead of spinning on the gate.
-            if !self.units.is_empty() && self.endpoints.iter().all(|ep| ep.inflight == 0) {
-                std::thread::sleep(Duration::from_millis(1));
+            for e in [PRIMARY, SPARE] {
+                self.pump_sends(e);
             }
         }
     }
 
-    /// Pulls jobs from the channel; blocks briefly when fully idle so
-    /// the loop does not spin.
-    fn ingest(&mut self, jobs: &mpsc::Receiver<Job>) -> Ingest {
-        let idle = self.units.is_empty();
-        let first = if idle {
-            match jobs.recv_timeout(Duration::from_millis(10)) {
-                Ok(job) => Some(job),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Ingest::Disconnected,
-            }
-        } else {
-            None
-        };
-        let mut take = |job: Job| -> Option<Ingest> {
-            match job {
-                Job::Unit { perm, deadline, tx } => {
-                    self.admit_unit(perm, deadline, tx);
-                    None
-                }
-                Job::Drain { deadline, tx } => {
-                    self.drain(deadline, &tx);
-                    Some(Ingest::Drained)
-                }
-            }
-        };
-        if let Some(job) = first {
-            if let Some(outcome) = take(job) {
-                return outcome;
-            }
-        }
-        loop {
-            match jobs.try_recv() {
-                Ok(job) => {
-                    if let Some(outcome) = take(job) {
-                        return outcome;
-                    }
-                }
-                Err(mpsc::TryRecvError::Empty) => return Ingest::Continue,
-                Err(mpsc::TryRecvError::Disconnected) => return Ingest::Disconnected,
-            }
-        }
+    /// The earliest timer the I/O thread must wake for: a unit timer,
+    /// or the end of a reconnect backoff with units waiting. A timer
+    /// already past (a connect may have blocked across it) wakes the
+    /// thread at once, except a due hedge: the spare's breaker refused
+    /// it, and it waits for the next event.
+    fn next_wake(&self) -> Option<Instant> {
+        let now = Instant::now();
+        let spare = self.endpoints[SPARE].addr.is_some();
+        let units = self.units.values().flat_map(|u| {
+            let [deadline, timeout, hedge] = u.timers(&self.cfg, spare);
+            [deadline, timeout, hedge.filter(|at| *at > now)]
+        });
+        let backoffs =
+            self.endpoints.iter().filter(|ep| ep.conn.is_none() && !ep.sendq.is_empty());
+        units.flatten().chain(backoffs.map(|ep| ep.not_before)).min()
     }
 
     /// Places a fresh unit on an endpoint, applying the breaker's
@@ -485,7 +529,7 @@ impl IoThread {
         let id = self.next_unit;
         self.next_unit += 1;
         let now = Instant::now();
-        let mut unit = Pending {
+        let unit = Pending {
             perm,
             deadline,
             reply,
@@ -498,39 +542,40 @@ impl IoThread {
             sent_at: None,
             fallback: None,
         };
-        match self.admit_on(PRIMARY, now) {
-            Some(()) => {
-                self.units.insert(id, unit);
-                self.endpoints[PRIMARY].sendq.push_back(id);
-            }
-            None => {
-                if self.endpoints[SPARE].exists() && self.admit_on(SPARE, now).is_some() {
-                    Shared::bump(&self.shared.failovers);
-                    unit.owner = SPARE;
-                    unit.failed_over = true;
-                    self.units.insert(id, unit);
-                    self.endpoints[SPARE].sendq.push_back(id);
-                } else {
-                    unit.reply.send(UnitReply {
-                        result: Err(EngineError::BreakerOpen),
-                        latency: now.saturating_duration_since(unit.started),
-                    });
-                }
-            }
+        let primary = self.admit_on(PRIMARY, now);
+        let spare =
+            !primary && self.endpoints[SPARE].addr.is_some() && self.admit_on(SPARE, now);
+        if !primary && !spare {
+            let latency = now.saturating_duration_since(unit.started);
+            unit.reply
+                .send(RequestOutcome { result: Err(EngineError::BreakerOpen), latency });
+            return;
+        }
+        self.units.insert(id, unit);
+        if primary {
+            self.endpoints[PRIMARY].sendq.push_back(id);
+        } else {
+            self.fail_over(id);
         }
     }
 
-    /// The breaker's admission verdict for endpoint `e`: `Some(())`
-    /// serves (marking the probe slot when half-open), `None` sheds.
-    fn admit_on(&mut self, e: usize, now: Instant) -> Option<()> {
-        match self.endpoints[e].breaker.admit(now) {
-            Admission::Serve => Some(()),
-            Admission::Probe => {
-                self.endpoints[e].probe_pending = true;
-                Some(())
-            }
-            Admission::Shed => None,
-        }
+    /// Moves pending unit `id` to the spare with a fresh attempt budget.
+    fn fail_over(&mut self, id: u64) {
+        Shared::bump(&self.shared.failovers);
+        let unit = self.units.get_mut(&id).expect("failing over a pending unit");
+        unit.owner = SPARE;
+        unit.failed_over = true;
+        unit.attempts_left = self.cfg.attempts.max(1);
+        unit.sent_at = None;
+        self.endpoints[SPARE].sendq.push_back(id);
+    }
+
+    /// The breaker's admission verdict for endpoint `e`: `true` serves
+    /// (marking the probe slot when half-open), `false` sheds.
+    fn admit_on(&mut self, e: usize, now: Instant) -> bool {
+        let verdict = self.endpoints[e].breaker.admit(now);
+        self.endpoints[e].probe_pending |= verdict == Admission::Probe;
+        verdict != Admission::Shed
     }
 
     /// Sends every queued unit on endpoint `e` that the connection and
@@ -574,7 +619,6 @@ impl IoThread {
                 unit.sent_at = Some(now);
             }
             self.by_req.insert(req_id, id);
-            self.endpoints[e].inflight += 1;
             let conn = self.endpoints[e].conn.as_mut().expect("connected above");
             if conn.send(&frame).is_err() {
                 self.endpoint_failed(e, now);
@@ -583,38 +627,15 @@ impl IoThread {
         }
     }
 
-    /// Drains every reply currently available on endpoint `e`.
-    fn pump_recvs(&mut self, e: usize) {
-        if self.endpoints[e].inflight == 0 {
-            return;
-        }
-        loop {
-            let Some(conn) = self.endpoints[e].conn.as_mut() else { return };
-            // analyze:allow(discarded-result): a failing setsockopt surfaces as a recv error
-            let _ = conn.set_read_timeout(Some(Duration::from_millis(1)));
-            match conn.recv() {
-                Ok(Frame::RouteReply { req_id, status, tier, .. }) => {
-                    if self.endpoints[e].probe_pending {
-                        self.endpoints[e].probe_pending = false;
-                        // analyze:allow(discarded-result): re-close edge is implicit in state()
-                        let _ = self.endpoints[e].breaker.on_success(true);
-                    } else {
-                        // analyze:allow(discarded-result): non-probe successes cannot re-close
-                        let _ = self.endpoints[e].breaker.on_success(false);
-                    }
-                    self.endpoints[e].connect_streak = 0;
-                    self.endpoints[e].inflight =
-                        self.endpoints[e].inflight.saturating_sub(1);
-                    self.reply_arrived(e, req_id, status, tier);
-                }
-                Ok(_) => {} // stats or error frames: not unit-scoped
-                Err(RecvError::Timeout) => return,
-                Err(_) => {
-                    self.endpoint_failed(e, Instant::now());
-                    return;
-                }
-            }
-        }
+    /// One frame from endpoint `e`'s current connection; only route
+    /// replies are unit-scoped.
+    fn reply_frame(&mut self, e: usize, frame: Frame) {
+        let Frame::RouteReply { req_id, status, tier, .. } = frame else { return };
+        let probe = std::mem::take(&mut self.endpoints[e].probe_pending);
+        // analyze:allow(discarded-result): the re-close edge is implicit in state()
+        let _ = self.endpoints[e].breaker.on_success(probe);
+        self.endpoints[e].connect_streak = 0;
+        self.reply_arrived(e, req_id, status, tier);
     }
 
     /// Routes one wire reply to its unit (stale request ids — hedge
@@ -648,7 +669,8 @@ impl IoThread {
         // twin decide.
         if twin_out {
             let unit = self.units.get_mut(&id).expect("still pending");
-            unit.fallback = Some(UnitReply { result, latency: unit.started.elapsed() });
+            unit.fallback =
+                Some(RequestOutcome { result, latency: unit.started.elapsed() });
             return;
         }
         // Primary said "overloaded/broken" and the spare is untried:
@@ -656,16 +678,10 @@ impl IoThread {
         if retryable
             && e == PRIMARY
             && !self.units[&id].failed_over
-            && self.endpoints[SPARE].exists()
-            && self.admit_on(SPARE, Instant::now()).is_some()
+            && self.endpoints[SPARE].addr.is_some()
+            && self.admit_on(SPARE, Instant::now())
         {
-            Shared::bump(&self.shared.failovers);
-            let unit = self.units.get_mut(&id).expect("still pending");
-            unit.owner = SPARE;
-            unit.failed_over = true;
-            unit.attempts_left = self.cfg.attempts.max(1);
-            unit.sent_at = None;
-            self.endpoints[SPARE].sendq.push_back(id);
+            self.fail_over(id);
             return;
         }
         self.resolve(id, result);
@@ -674,17 +690,14 @@ impl IoThread {
     /// Establishes endpoint `e`'s connection, reporting the verdict to
     /// the breaker and pacing the next attempt on failure.
     fn connect(&mut self, e: usize, now: Instant) -> bool {
-        let Some(addr) = self.endpoints[e].addr.clone() else { return false };
-        match Client::connect_timeout(&addr, self.cfg.connect_timeout) {
-            Ok(conn) => {
+        match self.dial(e) {
+            Ok(()) => {
                 // Streak > 0 means a previous connection (or connect
                 // attempt) failed: this one is a *re*connect.
                 if self.endpoints[e].connect_streak > 0 {
                     Shared::bump(&self.shared.reconnects);
                 }
-                self.endpoints[e].conn = Some(conn);
                 self.endpoints[e].connect_streak = 0;
-                self.endpoints[e].inflight = 0;
                 true
             }
             Err(_) => {
@@ -694,12 +707,37 @@ impl IoThread {
         }
     }
 
+    /// Opens a connection to endpoint `e` (bounded by the connect
+    /// timeout) and starts the reader thread that feeds its frames to
+    /// the I/O thread's channel.
+    fn dial(&mut self, e: usize) -> std::io::Result<()> {
+        let addr = self.endpoints[e].addr.clone().ok_or(ErrorKind::NotConnected)?;
+        let conn = Client::connect_timeout(&addr, self.cfg.connect_timeout)?;
+        let (id, events, mut reader) =
+            (self.endpoints[e].conn_id, self.events.clone(), conn.clone());
+        let read = move || loop {
+            let (event, last) = match reader.recv() {
+                Ok(frame) => (Event::Reply { ep: e, conn: id, frame }, false),
+                Err(_) => (Event::Lost { ep: e, conn: id }, true),
+            };
+            if events.send(event).is_err() || last {
+                return;
+            }
+        };
+        std::thread::Builder::new().name(format!("benes-remote-{e}-{id}")).spawn(read)?;
+        self.endpoints[e].conn = Some(conn);
+        Ok(())
+    }
+
     /// One transport failure on endpoint `e`: drop the connection,
     /// advance the breaker, pace the next connect, and charge every
     /// unit that was riding this endpoint one attempt.
     fn endpoint_failed(&mut self, e: usize, now: Instant) {
-        self.endpoints[e].conn = None;
-        self.endpoints[e].inflight = 0;
+        // The shutdown also ends the reader thread's blocking read.
+        if let Some(conn) = self.endpoints[e].conn.take() {
+            conn.kill();
+        }
+        self.endpoints[e].conn_id += 1;
         let probe = std::mem::take(&mut self.endpoints[e].probe_pending);
         // analyze:allow(discarded-result): the open edge is observable via state()
         let _ = self.endpoints[e].breaker.on_failure(probe, now);
@@ -743,7 +781,12 @@ impl IoThread {
             return;
         }
         if unit.owner != e {
-            // The failure hit an endpoint the unit no longer rides.
+            // Not the unit's endpoint, and nothing is out on its own.
+            // Unless it waits there for a resend, its twin already failed
+            // and parked the fallback it resolves with.
+            if !self.endpoints[1 - e].sendq.contains(&id) {
+                self.resolve(id, Err(EngineError::Unavailable));
+            }
             return;
         }
         unit.attempts_left = unit.attempts_left.saturating_sub(1);
@@ -753,70 +796,55 @@ impl IoThread {
             self.endpoints[e].sendq.push_back(id);
             return;
         }
-        if e == PRIMARY && !unit.failed_over && self.endpoints[SPARE].exists() {
-            Shared::bump(&self.shared.failovers);
-            unit.owner = SPARE;
-            unit.failed_over = true;
-            unit.attempts_left = self.cfg.attempts.max(1);
-            unit.sent_at = None;
-            self.endpoints[SPARE].sendq.push_back(id);
+        if e == PRIMARY && !unit.failed_over && self.endpoints[SPARE].addr.is_some() {
+            self.fail_over(id);
             return;
         }
         self.resolve(id, Err(EngineError::Unavailable));
     }
 
-    /// Deadline, request-timeout and hedge scans.
+    /// Fires every unit timer that is due: an expired deadline sheds
+    /// the unit, a request timeout condemns the silent connection, and
+    /// a hedge delay sends a twin on the spare.
     fn scan_time(&mut self) {
         let now = Instant::now();
-        // Local deadlines: a unit whose deadline passed resolves shed,
-        // no matter what the wire is doing.
-        let expired: Vec<u64> = self
-            .units
-            .iter()
-            .filter(|(_, u)| u.deadline.is_some_and(|dl| now >= dl))
-            .map(|(id, _)| *id)
-            .collect();
+        let spare = self.endpoints[SPARE].addr.is_some();
+        let due = |at: Option<Instant>| at.is_some_and(|at| at <= now);
+        let (mut expired, mut stuck, mut hedges) = (Vec::new(), [false; 2], Vec::new());
+        for (id, u) in &self.units {
+            let [deadline, timeout, hedge] = u.timers(&self.cfg, spare);
+            if due(deadline) {
+                expired.push(*id);
+                continue;
+            }
+            if due(timeout) {
+                stuck = [0, 1].map(|e| stuck[e] || u.req[e].is_some());
+            }
+            if due(hedge) {
+                hedges.push(*id);
+            }
+        }
+        // A deadline resolves the unit shed, whatever the wire is doing.
         for id in expired {
             self.resolve(id, Err(EngineError::DeadlineExceeded));
         }
-        // Request timeouts: a silent connection is a dead connection.
+        // A silent connection is a dead connection.
         for e in [PRIMARY, SPARE] {
-            let stuck = self.units.values().any(|u| {
-                u.req[e].is_some()
-                    && u.sent_at.is_some_and(|at| {
-                        now.saturating_duration_since(at) >= self.cfg.request_timeout
-                    })
-            });
-            if stuck && self.endpoints[e].conn.is_some() {
+            if stuck[e] && self.endpoints[e].conn.is_some() {
                 self.endpoint_failed(e, now);
             }
         }
-        // Hedging: units still waiting on the primary past the hedge
-        // delay get a twin on the spare.
-        let Some(hedge) = self.cfg.hedge else { return };
-        if !self.endpoints[SPARE].exists() {
-            return;
-        }
-        let candidates: Vec<u64> = self
-            .units
-            .iter()
-            .filter(|(_, u)| {
-                !u.hedged
-                    && u.owner == PRIMARY
-                    && u.req[PRIMARY].is_some()
-                    && u.req[SPARE].is_none()
-                    && u.sent_at
-                        .is_some_and(|at| now.saturating_duration_since(at) >= hedge)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        for id in candidates {
-            if self.admit_on(SPARE, now).is_none() {
+        for id in hedges {
+            // A failed primary may have moved the unit on meanwhile.
+            let Some(unit) = self.units.get(&id) else { continue };
+            if !due(unit.timers(&self.cfg, spare)[2]) {
+                continue;
+            }
+            if !self.admit_on(SPARE, now) {
                 break;
             }
             Shared::bump(&self.shared.hedges);
-            let unit = self.units.get_mut(&id).expect("candidate is pending");
-            unit.hedged = true;
+            self.units.get_mut(&id).expect("checked above").hedged = true;
             self.endpoints[SPARE].sendq.push_back(id);
         }
     }
@@ -838,7 +866,7 @@ impl IoThread {
             (Err(_), Some(parked)) => parked.result,
             _ => result,
         };
-        unit.reply.send(UnitReply { result, latency: unit.started.elapsed() });
+        unit.reply.send(RequestOutcome { result, latency: unit.started.elapsed() });
     }
 
     /// Terminal cancel of everything pending (teardown path).
@@ -848,70 +876,14 @@ impl IoThread {
             self.resolve(id, Err(EngineError::Canceled));
         }
     }
-
-    /// Fleet drain: best-effort `Drain` frame to the primary, wait for
-    /// its `StatsReply` ack, then cancel everything still pending.
-    fn drain(&mut self, deadline: Instant, tx: &mpsc::Sender<BackendDrain>) {
-        let mut unreachable = false;
-        let mut timed_out = false;
-        let now = Instant::now();
-        if self.endpoints[PRIMARY].conn.is_none() {
-            // One bounded connect attempt — a dead shard must not hang
-            // the fleet drain.
-            if let Some(addr) = self.endpoints[PRIMARY].addr.clone() {
-                match Client::connect_timeout(&addr, self.cfg.connect_timeout) {
-                    Ok(conn) => self.endpoints[PRIMARY].conn = Some(conn),
-                    Err(_) => unreachable = true,
-                }
-            }
-            // Keep `now` honest even though connect_timeout bounds it.
-            timed_out = Instant::now() > deadline && !unreachable;
-        }
-        if let Some(conn) = self.endpoints[PRIMARY].conn.as_mut() {
-            if conn.send(&Frame::Drain).is_err() {
-                unreachable = true;
-            } else {
-                // Wait for the StatsReply ack, discarding in-flight
-                // RouteReplies (their units cancel below either way).
-                loop {
-                    let budget = deadline.saturating_duration_since(Instant::now());
-                    if budget.is_zero() {
-                        timed_out = true;
-                        break;
-                    }
-                    // analyze:allow(discarded-result): a failing setsockopt surfaces as a recv error
-                    let _ =
-                        conn.set_read_timeout(Some(budget.min(Duration::from_millis(50))));
-                    match conn.recv() {
-                        Ok(Frame::StatsReply { .. }) => break,
-                        Ok(_) => {}
-                        Err(RecvError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                timed_out = true;
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            unreachable = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let canceled = u64::try_from(self.units.len()).unwrap_or(u64::MAX);
-        self.cancel_all();
-        // analyze:allow(discarded-result): the drain caller may have timed out and gone
-        let _ = tx.send(BackendDrain { canceled, timed_out, unreachable });
-        let _ = now;
-    }
 }
 
-/// Why [`IoThread::ingest`] returned.
-enum Ingest {
-    Continue,
-    Drained,
-    Disconnected,
+impl Drop for IoThread {
+    /// However the I/O thread exits, its connections close, which ends
+    /// their reader threads.
+    fn drop(&mut self) {
+        self.endpoints.iter_mut().filter_map(|ep| ep.conn.take()).for_each(Client::kill);
+    }
 }
 
 #[cfg(test)]
@@ -924,17 +896,117 @@ mod tests {
         // the job channel: it must reach the ledger as canceled and its
         // ticket must resolve, or the shard stops conserving requests.
         let shared = Arc::new(Shared::default());
-        let (tx, rx) = mpsc::channel();
+        let (tx, ticket) = Ticket::channel();
         drop(UnitTx { tx: Some(tx), shared: Arc::clone(&shared) });
-        assert_eq!(UnitTicket::remote(rx).wait().result, Err(EngineError::Canceled));
+        assert_eq!(ticket.wait().result, Err(EngineError::Canceled));
         assert_eq!(shared.canceled.load(Ordering::Relaxed), 1);
 
         // An answered unit is booked once, by its reply.
-        let (tx, rx) = mpsc::channel();
+        let (tx, ticket) = Ticket::channel();
         UnitTx { tx: Some(tx), shared: Arc::clone(&shared) }
-            .send(UnitReply { result: Ok(Tier::Waksman), latency: Duration::ZERO });
-        assert_eq!(UnitTicket::remote(rx).wait().result, Ok(Tier::Waksman));
+            .send(RequestOutcome { result: Ok(Tier::Waksman), latency: Duration::ZERO });
+        assert_eq!(ticket.wait().result, Ok(Tier::Waksman));
         assert_eq!(shared.completed.load(Ordering::Relaxed), 1);
         assert_eq!(shared.canceled.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_unit_submitted_after_the_io_thread_exits_resolves_canceled() {
+        // Nothing listens on port 1: the drain finds the shard
+        // unreachable and the I/O thread exits. A later unit is refused
+        // (or stranded in the dead channel) and must still resolve.
+        let shard = RemoteShard::new(RemoteConfig::new("127.0.0.1:1"), 0);
+        assert!(shard.drain(Instant::now() + Duration::from_secs(5)).unreachable);
+        let perm = Permutation::identity(8);
+        assert_eq!(shard.submit(perm, None).wait().result, Err(EngineError::Canceled));
+        let ledger = shard.ledger();
+        assert_eq!((ledger.submitted, ledger.canceled), (1, 1));
+        assert!(ledger.conserves_requests());
+    }
+
+    /// A stand-in benes-serve on loopback: it answers a connection's
+    /// `n`th Route frame (counting from 1) with the status `reply(n)`
+    /// names, after the pause it names, and never when it names none.
+    fn fake_server(reply: fn(usize) -> Option<(Duration, Status)>) -> std::net::SocketAddr {
+        use benes_serve::proto::decode;
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for mut stream in listener.incoming().map_while(Result::ok) {
+                std::thread::spawn(move || {
+                    let (mut buf, mut chunk, mut routes) = (Vec::new(), [0u8; 4096], 0);
+                    while let Ok(n @ 1..) = stream.read(&mut chunk) {
+                        buf.extend_from_slice(&chunk[..n]);
+                        while let Ok(Some((frame, used))) = decode(&buf) {
+                            buf.drain(..used);
+                            let Frame::Route { req_id, .. } = frame else { continue };
+                            routes += 1;
+                            let Some((pause, status)) = reply(routes) else { continue };
+                            std::thread::sleep(pause);
+                            let tier = None;
+                            let frame =
+                                Frame::RouteReply { req_id, status, tier, latency_ns: 0 };
+                            stream.write_all(&frame.to_bytes()).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn a_request_timeout_that_passes_during_a_blocked_connect_still_fires() {
+        use std::net::{TcpListener, TcpStream};
+        // The spare is a listener with a full backlog: a connect to it
+        // blocks for the whole connect timeout.
+        let spare = TcpListener::bind("127.0.0.1:0").unwrap();
+        let spare_addr = spare.local_addr().unwrap();
+        let held: Vec<TcpStream> = (0..1024)
+            .map_while(|_| {
+                TcpStream::connect_timeout(&spare_addr, Duration::from_millis(100)).ok()
+            })
+            .collect();
+        assert!(held.len() < 1024, "the spare's backlog never filled");
+        // The primary never answers a connection's first Route frame and
+        // answers the second `Rejected`, which fails that unit over to
+        // the spare.
+        let primary =
+            fake_server(|n| (n == 2).then_some((Duration::ZERO, Status::Rejected)));
+        let mut config = RemoteConfig::new(primary.to_string());
+        config.spare = Some(spare_addr.to_string());
+        config.attempts = 1;
+        config.connect_timeout = Duration::from_millis(600);
+        config.request_timeout = Duration::from_millis(200);
+        let shard = RemoteShard::new(config, 0);
+        let perm = Permutation::identity(8);
+        let mut silent = shard.submit(perm.clone(), None);
+        let rejected = shard.submit(perm, None);
+        assert_eq!(rejected.wait().result, Err(EngineError::Unavailable));
+        // The silent unit's request timeout passed while the I/O thread
+        // was blocked dialling the spare for the rejected one.
+        let resolved = silent.wait_timeout(Duration::from_secs(10));
+        assert!(resolved.is_some(), "a request timeout that came due mid-connect was lost");
+        drop(held);
+    }
+
+    #[test]
+    fn a_hedged_unit_whose_spare_goes_silent_resolves_with_the_primary_failure() {
+        // The primary answers every unit `Rejected`, but only after the
+        // hedge went out; the spare never answers. The primary's failure
+        // is parked while the twin is out, then the spare's request
+        // times out: the unit must resolve with the parked failure.
+        let primary = fake_server(|_| Some((Duration::from_millis(150), Status::Rejected)));
+        let mut config = RemoteConfig::new(primary.to_string());
+        config.spare = Some(fake_server(|_| None).to_string());
+        config.attempts = 1;
+        config.hedge = Some(Duration::from_millis(50));
+        config.request_timeout = Duration::from_millis(300);
+        let shard = RemoteShard::new(config, 0);
+        let mut unit = shard.submit(Permutation::identity(8), None);
+        let outcome = unit.wait_timeout(Duration::from_secs(5));
+        assert_eq!(outcome.map(|o| o.result), Some(Err(EngineError::FaultDetected)));
+        assert_eq!(shard.ledger().hedges, 1);
     }
 }

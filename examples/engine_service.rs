@@ -68,7 +68,7 @@ fn main() {
     assert_eq!(stats.waksman, 0);
 
     // --- 4. Operating under load: bounded admission, deadlines, a
-    //        non-blocking poll, and a graceful drain. ---
+    //        bounded wait, and a graceful drain. ---
     let bounded = Engine::new(EngineConfig {
         workers: 2,
         max_queue_depth: Some(64),
@@ -79,9 +79,8 @@ fn main() {
     println!("\nan expired deadline is shed, never planned: {:?}", expired.result);
 
     let mut ticket = bounded.submit(victim);
-    while ticket.try_result().is_none() {
-        std::thread::yield_now(); // poll instead of blocking
-    }
+    let served = ticket.wait_timeout(Duration::from_secs(5)).expect("served within 5 s");
+    println!("a bounded wait resolves with the outcome: {:?}", served.result);
     let drained = bounded.drain(Instant::now() + Duration::from_secs(5));
     println!(
         "drained: {} canceled, timed out: {}; admission now refuses: {:?}",

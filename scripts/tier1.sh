@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The benchmark is its own workspace over the same crates: building and
+# self-testing it here turns a public-API break into a tier-1 failure.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 sh scripts/analyze.sh
