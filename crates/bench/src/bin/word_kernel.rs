@@ -115,9 +115,8 @@ fn main() {
         let replays: Vec<(Permutation, _, MaskProgram)> = (0..perms)
             .map(|_| {
                 let d = benes_bench::random_permutation(&mut replay_rng, 1 << n);
-                let settings = waksman::setup(&d).expect("order in range");
-                let program = MaskProgram::from_settings(&settings);
-                (d, settings, program)
+                let program = waksman::setup_program(&d).expect("order in range");
+                (d, program.to_settings(), program)
             })
             .collect();
         let word_replay = |d: &Permutation, program: &MaskProgram| {

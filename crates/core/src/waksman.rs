@@ -17,6 +17,44 @@
 //! fixing the outer stages and inducing one half-size permutation per
 //! subnetwork.
 //!
+//! # Looping in flattened coordinates
+//!
+//! [`setup_program`] runs that recursion without recursing. In the word
+//! kernel's flattened coordinates ([`crate::word`]) stage `s` pairs the
+//! positions that differ in bit `min(s, 2n−2−s)`, and no link moves an
+//! element between stages. So the level-`k` sub-networks — the `2^k`
+//! copies of `B(n−k)` the recursion reaches after `k` halvings — are
+//! simply the position classes mod `2^k`, and the upper of a
+//! sub-network's two halves is its positions with bit `k` clear. Its
+//! input stage `k` and its output stage `2n−2−k` both pair bit `k`, so
+//! one level of the recursion, over every sub-network at once, is one
+//! pass over the whole array:
+//!
+//! 1. invert the current targets (`dest[p]` is the position the element
+//!    at `p` must reach on leaving its level-`k` sub-network);
+//! 2. walk the constraint loops, seeding each from the smallest upper
+//!    position no loop has reached, sent to the upper sub-network — within
+//!    a class, the order in which the recursion seeds its sub-problem.
+//!    Every input a loop reaches through its own output goes up, the
+//!    input feeding the partner output goes down, and the loop closes on
+//!    the seed's partner;
+//! 3. OR each switch's bit straight into the program's two columns: the
+//!    input stage crosses where an upward input is the pair's lower one,
+//!    the output stage where its output is;
+//! 4. move each element to its side — the pair swapped where crossed —
+//!    with bit `k` of its target set to that side, which keeps every
+//!    class's targets inside the class for level `k + 1`.
+//!
+//! The middle stage is level `n − 1`, where both columns coincide. The
+//! pass needs three `N`-sized scratch vectors per call instead of five
+//! per sub-problem, and writes masks instead of per-switch settings. It
+//! is the `benes_step` of SNIPPETS.md Snippet 1 (mmgroup): one loop pass
+//! per pairing distance `1 << k` over the whole array, whose `res0` /
+//! `res1` masks are these two columns. [`reference_setup`] keeps the
+//! recursive form as the oracle: [`setup`] (the program read back per
+//! switch) is bit-identical to it, exhaustively on `B(2)`/`B(3)` and
+//! under random testing up to `B(10)`.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,6 +77,7 @@ use benes_perm::Permutation;
 
 use crate::network::{SwitchSettings, SwitchState};
 use crate::topology;
+use crate::word::MaskProgram;
 
 /// Error produced by [`setup`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +116,9 @@ impl std::error::Error for SetupError {}
 /// `B(n)` — the paper's baseline `O(N log N)` set-up.
 ///
 /// The returned settings route input `i` to output `d[i]` via
-/// [`crate::network::Benes::route_with`].
+/// [`crate::network::Benes::route_with`]. They are [`setup_program`]'s
+/// column masks read back per switch, and bit-identical to
+/// [`reference_setup`]'s.
 ///
 /// # Errors
 ///
@@ -85,6 +126,98 @@ impl std::error::Error for SetupError {}
 /// supported maximum. Lengths of 1 (`n = 0`) are rejected as well: the
 /// smallest Benes network is `B(1)`.
 pub fn setup(d: &Permutation) -> Result<SwitchSettings, SetupError> {
+    setup_program(d).map(|program| program.to_settings())
+}
+
+/// Computes the word kernel's column masks realizing the arbitrary
+/// permutation `d` on `B(n)`: the looping set-up run level by level in
+/// flattened coordinates (see the module docs), writing each switch's
+/// bit straight into its column.
+///
+/// The program is the one [`setup`] converts to per-switch settings, and
+/// [`MaskProgram::from_settings`] of [`reference_setup`]'s settings.
+///
+/// # Errors
+///
+/// As [`setup`]: the length must be a power of two `2^n` with
+/// `1 ≤ n ≤ MAX_N`.
+///
+/// # Examples
+///
+/// ```
+/// use benes_core::word::{self, Columns};
+/// use benes_core::waksman;
+/// use benes_perm::Permutation;
+///
+/// let d = Permutation::from_destinations(vec![2, 5, 3, 7, 1, 6, 4, 0]).unwrap();
+/// let program = waksman::setup_program(&d)?;
+/// assert!(word::route(3, &d, Columns::Given(&program), None).unwrap().is_success());
+/// # Ok::<(), waksman::SetupError>(())
+/// ```
+pub fn setup_program(d: &Permutation) -> Result<MaskProgram, SetupError> {
+    let n = order(d)?;
+    let size = 1usize << n;
+    let last = topology::stage_count(n) - 1;
+    let mut program = MaskProgram::all_straight(n);
+    // dest[p]: the flattened position the element now at position p must
+    // reach on leaving its level-k sub-network; `next` is the same after
+    // level k, with u32::MAX marking a pair no loop has reached yet.
+    let mut dest: Vec<u32> = d.destinations().to_vec();
+    let mut next = vec![0u32; size];
+    let mut inv = vec![0u32; size];
+    for k in 0..n {
+        let b = 1usize << k;
+        for (p, &o) in dest.iter().enumerate() {
+            inv[o as usize] = p as u32; // analyze:allow(truncating-cast): p < 2^MAX_N terminals
+        }
+        next.fill(u32::MAX);
+        let upper = (0..size).step_by(2 * b).flat_map(|base| base..base + b);
+        for seed in upper {
+            if next[seed] != u32::MAX {
+                continue;
+            }
+            // A new constraint loop, seeded through the upper sub-network.
+            // Every x it reaches goes up (its partner down); the input xp
+            // feeding the partner of x's output goes down (its partner,
+            // the next x, up), until xp is the seed's own partner.
+            let mut x = seed;
+            loop {
+                let o = dest[x] as usize;
+                // Input stage k crosses where x is a lower input; output
+                // stage 2n−2−k, where x's output is a lower one.
+                program.cross_if(k as usize, x & !b, x & b != 0);
+                program.cross_if(last - k as usize, o & !b, o & b != 0);
+                let xp = inv[o ^ b] as usize;
+                // Bit k of both position and target now names the side.
+                next[x & !b] = (o & !b) as u32; // analyze:allow(truncating-cast): o < 2^MAX_N
+                next[xp | b] = (o | b) as u32; // analyze:allow(truncating-cast): o < 2^MAX_N
+                if xp == seed ^ b {
+                    break;
+                }
+                x = xp ^ b;
+            }
+        }
+        std::mem::swap(&mut dest, &mut next);
+    }
+    Ok(program)
+}
+
+/// The recursive looping set-up: one sub-problem per sub-network, five
+/// vectors per call, settings written per switch. Kept as the oracle
+/// [`setup_program`] is tested against; [`setup`] is bit-identical to it.
+///
+/// # Errors
+///
+/// As [`setup`].
+pub fn reference_setup(d: &Permutation) -> Result<SwitchSettings, SetupError> {
+    let n = order(d)?;
+    let mut settings = SwitchSettings::all_straight(n);
+    setup_recursive(d.destinations(), n, 0, 0, &mut settings);
+    Ok(settings)
+}
+
+/// The order `n` of the `B(n)` that serves `d`.
+fn order(d: &Permutation) -> Result<u32, SetupError> {
     let n = d
         .log2_len()
         .filter(|&n| n >= 1)
@@ -92,10 +225,7 @@ pub fn setup(d: &Permutation) -> Result<SwitchSettings, SetupError> {
     if n > topology::MAX_N {
         return Err(SetupError::TooLarge { n });
     }
-    let mut settings = SwitchSettings::all_straight(n);
-    let dest: Vec<u32> = d.destinations().to_vec();
-    setup_recursive(&dest, n, 0, 0, &mut settings);
-    Ok(settings)
+    Ok(n)
 }
 
 /// Sets the switches of the `B(m)` sub-network whose first stage is
@@ -375,15 +505,30 @@ mod tests {
     }
 
     #[test]
+    fn setup_program_matches_reference_exhaustive() {
+        // Every input of B(2) and B(3): the flattened single-pass set-up
+        // and the recursive reference choose the same switch states.
+        for len in [4, 8] {
+            for d in all_perms(len) {
+                let reference = reference_setup(&d).unwrap();
+                let program = setup_program(&d).unwrap();
+                assert_eq!(program.to_settings(), reference, "D = {d}");
+                assert_eq!(program, MaskProgram::from_settings(&reference), "D = {d}");
+                assert_eq!(setup(&d).unwrap(), reference, "D = {d}");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_bad_lengths() {
-        assert_eq!(
-            setup(&Permutation::identity(6)),
-            Err(SetupError::NotPowerOfTwo { len: 6 })
-        );
-        assert_eq!(
-            setup(&Permutation::identity(1)),
-            Err(SetupError::NotPowerOfTwo { len: 1 })
-        );
+        // All three entry points share one length check.
+        for len in [1, 3, 6, 12] {
+            let d = Permutation::identity(len);
+            let err = Some(SetupError::NotPowerOfTwo { len });
+            assert_eq!(setup(&d).err(), err);
+            assert_eq!(setup_program(&d).err(), err);
+            assert_eq!(reference_setup(&d).err(), err);
+        }
     }
 
     #[test]

@@ -187,6 +187,13 @@ impl MaskProgram {
         Self { n, masks: vec![0; topology::stage_count(n) * word_count(n)] }
     }
 
+    /// Crosses the switch of `stage` whose upper input sits at flattened
+    /// position `upper` if `cross` holds (branch-free).
+    pub(crate) fn cross_if(&mut self, stage: usize, upper: usize, cross: bool) {
+        let words = word_count(self.n);
+        self.masks[stage * words + (upper >> 6)] |= u64::from(cross) << (upper & 63);
+    }
+
     /// Converts a per-switch assignment into column masks.
     #[must_use]
     pub fn from_settings(settings: &SwitchSettings) -> Self {

@@ -193,6 +193,22 @@ proptest! {
 }
 
 proptest! {
+    /// The flattened single-pass set-up chooses the recursive reference's
+    /// switch states on B(4..10), and its program realizes the input.
+    #[test]
+    fn setup_program_matches_recursive_reference(n in 4u32..=10, seed in any::<u64>()) {
+        use benes_core::word::{self, Columns, MaskProgram};
+
+        let d = seeded_permutation(1usize << n, seed);
+        let reference = waksman::reference_setup(&d).unwrap();
+        let program = waksman::setup_program(&d).unwrap();
+        prop_assert_eq!(&program.to_settings(), &reference);
+        prop_assert_eq!(&program, &MaskProgram::from_settings(&reference));
+        prop_assert!(word::route(n, &d, Columns::Given(&program), None).unwrap().is_success());
+    }
+}
+
+proptest! {
     /// Word-kernel vs scalar-kernel agreement on healthy fabrics across
     /// B(4..8): success flag, arrival tags, and recovered settings must be
     /// bit-identical for both the plain and the omega-bit variants.

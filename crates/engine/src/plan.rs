@@ -8,7 +8,7 @@
 //! | self-route | `F(n)` (Theorem 1) | **zero** — tags set the switches | one word pass, tag columns |
 //! | omega-bit | `Ω(n)` (§II) | **zero** — one control wire asserted | one word pass, omega columns |
 //! | factored | any `D` | one `O(N log N)` factorization, then two zero-set-up passes | two word passes |
-//! | Waksman | any `D` | one `O(N log N)` looping set-up | one word pass, given columns |
+//! | Waksman | any `D` | one `O(N log N)` looping set-up, `n` whole-array passes writing column masks | one word pass, given columns |
 //!
 //! Classification *is* routing: by Theorem 1, `D ∈ F(n)` exactly when its
 //! destination tags route it with no set-up, so the planner tries the
@@ -18,7 +18,10 @@
 //! execution. Only permutations outside `F(n) ∪ Ω(n)` reach the
 //! expensive tiers, whose set-up is stored as a
 //! [`MaskProgram`] — `2n − 1` column masks — and replayed by the same
-//! word kernel with given columns.
+//! word kernel with given columns. The Waksman tier's looping set-up
+//! ([`waksman::setup_program`]) runs in the kernel's flattened
+//! coordinates and writes those masks directly, with no per-switch
+//! settings in between.
 //!
 //! A serving system should therefore *plan* per request: try the cheap
 //! tiers first, fall back to an expensive one, and cache what the
@@ -230,9 +233,7 @@ pub(crate) fn fallback_plan(
     fallback: Fallback,
 ) -> Result<Plan, PlanError> {
     match fallback {
-        Fallback::Waksman => {
-            Ok(Plan::Settings(MaskProgram::from_settings(&waksman::setup(d)?)))
-        }
+        Fallback::Waksman => Ok(Plan::Settings(waksman::setup_program(d)?)),
         Fallback::Factored => {
             let (first, second) = factor::factor_inverse_omega_omega(d)?;
             Ok(Plan::TwoPass { first, second })
@@ -330,6 +331,27 @@ mod tests {
         let hard = hard_witness();
         assert_eq!(plan(&hard, Fallback::Waksman).unwrap().tier(), Tier::Waksman);
         assert_eq!(plan(&hard, Fallback::Factored).unwrap().tier(), Tier::Factored);
+    }
+
+    #[test]
+    fn waksman_plan_is_the_reference_setup() {
+        // The Waksman tier's program is the recursive looping set-up's,
+        // switch for switch. A fallback through another set-up fails
+        // here: the factorization changes the tier, and any other loop
+        // seeding picks other states for some of these inputs. (The
+        // parallel and fault-avoiding set-ups seed as the reference does,
+        // so on a healthy fabric they agree with it switch for switch.)
+        let mut inputs = vec![hard_witness()];
+        let mut rng = crate::workload::Rng64::new(0x5e70);
+        for n in [4u32, 6, 8] {
+            inputs.push(crate::workload::hard_permutation(&mut rng, n));
+        }
+        for d in &inputs {
+            let reference = waksman::reference_setup(d).unwrap();
+            let planned = plan(d, Fallback::Waksman).unwrap();
+            assert_eq!(planned.tier(), Tier::Waksman);
+            assert_eq!(planned, Plan::Settings(MaskProgram::from_settings(&reference)));
+        }
     }
 
     #[test]

@@ -7,10 +7,13 @@
 # on stdout. Also runs EXP-WORD, the scalar-vs-word kernel microbench.
 #
 # Both runs carry smoke assertions:
-#   * engine: closed-loop throughput at n=8 must scale from 1 to 8
-#     workers by BENCH_SCALE_FACTOR ("auto" keys the factor to the
-#     machine's available cores; a single-core runner only asserts no
-#     regression). The open model paces arrivals at 70% of the
+#   * engine: closed-loop throughput on BENCH_REQUESTS distinct hard
+#     n=10 permutations (every one a Waksman miss, so per-request work
+#     is fixed and dwarfs the client's) must scale from 1 to 8 workers
+#     by BENCH_SCALE_FACTOR, median of five interleaved pairs ("auto"
+#     keys the factor to the machine's available cores: 1.2 on 2; a
+#     single-core runner only asserts no regression). The open model
+#     of the mixed grid paces arrivals at 70% of the
 #     measured closed capacity across >= 2 submitter threads, so its
 #     latency quantiles are end-to-end under load, not backlog depth.
 #   * word kernel: single-thread routing at n=8 must beat the scalar
